@@ -2,9 +2,8 @@
 closedness / empty-interior lemmas behind noncompleteness."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import CapExceeded, InputError, PreconditionError
 from .spaces import Partition, PartitionChain

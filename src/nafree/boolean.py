@@ -13,7 +13,13 @@ from typing import Iterator, Optional
 
 from .errors import CapExceeded, InputError, PreconditionError
 from .finite_groups import IsometricAction
-from .spaces import AugmentedSpace, Partition, PartitionChain, ball_partition
+from .spaces import (
+    AugmentedSpace,
+    Partition,
+    PartitionChain,
+    _ball_classes,
+    strict_ball_partition,
+)
 
 DEFAULT_ENUM_CAP = 12
 
@@ -189,16 +195,7 @@ def graev_norm_fast(u: BooleanWord, space: AugmentedSpace) -> NormCertificate:
     supp = sorted(support(u))
     thresholds = sorted({space.d(a, b) for a, b in itertools.combinations(supp, 2)})
     for r in thresholds:
-        classes: list[list[int]] = []
-        reps: list[int] = []
-        for p in supp:
-            for i, rep in enumerate(reps):
-                if space.d(p, rep) <= r:
-                    classes[i].append(p)
-                    break
-            else:
-                reps.append(p)
-                classes.append([p])
+        classes = _ball_classes(space.dist, supp, r)
         if all(len(c) % 2 == 0 for c in classes):
             pairs = tuple(
                 (c[i], c[i + 1]) for c in classes for i in range(0, len(c), 2)
@@ -267,18 +264,7 @@ def ball_equals_subgroup(
     eps = Fraction(eps_value)
     if not 0 < eps < 1:
         raise PreconditionError(f"threshold must lie in (0,1), got {eps}")
-    n = space.base.size
-    blocks: list[list[int]] = []
-    reps: list[int] = []
-    for p in range(n):
-        for i, rep in enumerate(reps):
-            if space.base.d(p, rep) < eps:
-                blocks[i].append(p)
-                break
-        else:
-            reps.append(p)
-            blocks.append([p])
-    part = Partition(tuple(frozenset(b) for b in blocks), n)
+    part = strict_ball_partition(space.base, eps)
     rows = []
     for u in word_pool:
         in_ball = graev_norm_fast(u, space).value < eps

@@ -1,24 +1,24 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on mathematical failure (violation or negative
-verdict), 2 on input errors.
+Exit codes: 0 on success, 1 on mathematical failure (a negative verdict, or
+the axiom violation `validate` reports), 2 on input errors.  Under every
+other command a workspace that breaks an axiom is an input error.
 """
 from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
+from typing import NoReturn
 
 import click
 
 from .abelian import ab_eps_membership, class_sums
 from .boolean import eps_subgroup_membership, graev_norm_bruteforce, graev_norm_fast
-from .errors import CapExceeded, InputError, NafreeError
+from .errors import CapExceeded, InputError, NafreeError, Violation
 from .freegroup import eps_tilde_membership, quotient_hom
 from .report import CLAIMS, run_report
 from .serialize import (
     dump_json,
-    encode_boolean_word,
     encode_certificate,
     format_rational,
     load_workspace,
@@ -31,12 +31,16 @@ EXIT_MATH_FAIL = 1
 EXIT_INPUT = 2
 
 
+def _input_error(message: str) -> NoReturn:
+    click.echo(f"input error: {message}", err=True)
+    sys.exit(EXIT_INPUT)
+
+
 def _load(file, basepoint):
     try:
         return load_workspace(file, basepoint)
     except InputError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(str(exc))
 
 
 @click.group()
@@ -49,66 +53,22 @@ def main():
 def validate(file):
     """Validate the space, chains and actions in a workspace file.
 
-    Mathematical violations (broken strong triangle, overlapping blocks,
-    non-isometric actions) exit 1; unreadable or malformed input exits 2.
+    Stops at the first violation (broken strong triangle, overlapping blocks,
+    non-isometric action) and exits 1; malformed input exits 2.
     """
-    from .serialize import parse_chain, parse_space
-    from .spaces import validate_ultrametric
-
     try:
-        with open(file) as fh:
-            raw = json.load(fh)
-        if "space" not in raw:
-            raise InputError("workspace needs a 'space' object")
-        space_obj = raw["space"]
-        rows = [
-            [Fraction(json_rational(v)) for v in row] for row in space_obj.get("dist", [])
-        ]
-    except (OSError, json.JSONDecodeError, InputError, ValueError, TypeError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    failures = []
-    try:
-        bad = validate_ultrametric(rows)
-    except InputError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    space = None
-    if bad is not None:
-        failures.append(f"space: {bad}")
-    else:
-        try:
-            space = parse_space(space_obj)
-        except InputError as exc:
-            click.echo(f"input error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-        click.echo(f"space: {space.size} points, ok")
-    if space is not None:
-        for name, obj in raw.get("chains", {}).items():
-            try:
-                chain = parse_chain(obj, space)
-                click.echo(f"chain {name}: {len(chain)} levels, ok")
-            except (InputError, NafreeError) as exc:
-                failures.append(f"chain {name}: {exc}")
-        ws = None
-        try:
-            ws = load_workspace(file, None)
-        except NafreeError as exc:
-            failures.append(str(exc))
-        if ws is not None:
-            for name, act in ws.actions.items():
-                click.echo(f"action {name}: group of order {act.group.order}, isometric, ok")
-    for f in failures:
-        click.echo(f"violation: {f}")
-    if failures:
+        ws = load_workspace(file)
+    except Violation as exc:
+        click.echo(f"violation: {exc}")
         sys.exit(EXIT_MATH_FAIL)
+    except InputError as exc:
+        _input_error(str(exc))
+    click.echo(f"space: {ws.space.size} points, ok")
+    for name, chain in ws.chains.items():
+        click.echo(f"chain {name}: {len(chain)} levels, ok")
+    for name, act in ws.actions.items():
+        click.echo(f"action {name}: group of order {act.group.order}, isometric, ok")
     click.echo("ok")
-
-
-def json_rational(v):
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise InputError(f"not a rational: {v!r}")
-    return v
 
 
 @main.command()
@@ -124,8 +84,7 @@ def norm(file, word, check, cap, basepoint, as_json):
     try:
         u = parse_boolean_word(json.loads(word), ws.space)
     except (json.JSONDecodeError, InputError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(str(exc))
     cert = graev_norm_fast(u, ws.aug)
     payload = encode_certificate(cert, ws.aug)
     if check:
@@ -165,12 +124,10 @@ def member(file, word, group, chain, level, as_json):
     """
     ws = _load(file, None)
     if chain not in ws.chains:
-        click.echo(f"input error: unknown chain {chain!r}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(f"unknown chain {chain!r}")
     levels = ws.chains[chain].levels
     if not -len(levels) <= level < len(levels):
-        click.echo(f"input error: level {level} out of range", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(f"level {level} out of range")
     part = levels[level][1]
     try:
         obj = json.loads(word)
@@ -192,8 +149,7 @@ def member(file, word, group, chain, level, as_json):
             img = quotient_hom(w, part)
             evidence = {"quotient_image_length": len(img)}
     except (json.JSONDecodeError, InputError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(str(exc))
     blocks = [sorted(ws.space.names[p] for p in b) for b in part.blocks]
     payload = {"member": verdict, "blocks": blocks, **evidence}
     if as_json:
@@ -216,8 +172,7 @@ def report(file, only, as_json):
     try:
         rows = run_report(ws, only)
     except NafreeError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _input_error(str(exc))
     if as_json:
         click.echo(dump_json(rows), nl=False)
     else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .boolean import BooleanWord
 from .errors import CapExceeded, InputError, PreconditionError
@@ -164,12 +164,6 @@ class InverseSystem:
 
     chain: PartitionChain
 
-    def __post_init__(self):
-        parts = self.chain.partitions
-        for coarse, fine in zip(parts, parts[1:]):
-            if not fine.refines(coarse):
-                raise InputError("chain partitions must refine monotonically")
-
     @property
     def depth(self) -> int:
         return len(self.chain)
@@ -213,7 +207,3 @@ class InverseSystem:
             if u.ground != self.level_group_size(i):
                 raise PreconditionError(f"thread entry {i} is over the wrong quotient")
         return all(self.bond(i, thread[i + 1]) == thread[i] for i in range(self.depth - 1))
-
-
-def inverse_system_build(chain: PartitionChain) -> InverseSystem:
-    return InverseSystem(chain)

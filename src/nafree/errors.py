@@ -6,7 +6,12 @@ class NafreeError(Exception):
 
 
 class InputError(NafreeError):
-    """Malformed user input: bad JSON, unknown names, schema violations."""
+    """Malformed user input: bad JSON, unknown names, schema faults."""
+
+
+class Violation(InputError):
+    """Well-formed input that breaks an axiom: the strong triangle, a
+    partition or chain condition, or the isometry of an action."""
 
 
 class PreconditionError(NafreeError):

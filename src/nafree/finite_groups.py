@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InputError, PreconditionError
 from .spaces import UltraMetricSpace, Matrix
@@ -74,17 +74,6 @@ class FiniteGroupTable:
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroupTable":
         return cls(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def direct_product(cls, a: "FiniteGroupTable", b: "FiniteGroupTable") -> "FiniteGroupTable":
-        na, nb = a.order, b.order
-        idx = lambda i, j: i * nb + j
-        rows = []
-        for i, j in itertools.product(range(na), range(nb)):
-            rows.append(
-                tuple(idx(a.op(i, k), b.op(j, l)) for k, l in itertools.product(range(na), range(nb)))
-            )
-        return cls(tuple(rows))
 
     @classmethod
     def boolean_power(cls, k: int) -> "FiniteGroupTable":

@@ -6,9 +6,9 @@ Letters are (point id, sign) with sign +-1; words are kept freely reduced.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .abelian import AbelianWord
 from .boolean import BooleanWord
@@ -102,25 +102,8 @@ class PsiAssignment:
         return self.default
 
 
-def _all_words(alphabet: int, max_len: int) -> Iterator[FreeWord]:
-    """All freely reduced words of length <= max_len."""
-    frontier = [FreeWord.identity(alphabet)]
-    yield frontier[0]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for p in range(alphabet):
-                for s in (1, -1):
-                    if w.letters and w.letters[-1] == (p, -s):
-                        continue
-                    ext = FreeWord(w.letters + ((p, s),), alphabet)
-                    nxt.append(ext)
-                    yield ext
-        frontier = nxt
-
-
 def _raw_words(alphabet: int, max_len: int) -> list[tuple[Letter, ...]]:
-    """All freely reduced letter tuples of length <= max_len."""
+    """All freely reduced letter tuples of length <= max_len, breadth first."""
     out: list[tuple[Letter, ...]] = [()]
     frontier: list[tuple[Letter, ...]] = [()]
     for _ in range(max_len):
@@ -134,6 +117,11 @@ def _raw_words(alphabet: int, max_len: int) -> list[tuple[Letter, ...]]:
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def _all_words(alphabet: int, max_len: int) -> Iterator[FreeWord]:
+    """All freely reduced words of length <= max_len, in `_raw_words` order."""
+    return (FreeWord(w, alphabet) for w in _raw_words(alphabet, max_len))
 
 
 def _constant_closure(

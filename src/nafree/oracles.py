@@ -1,9 +1,8 @@
 """Independent brute-force oracles for the membership and norm rules.
 
 These deliberately avoid the decision procedures they certify: the Boolean
-oracle closes the generator set under addition, the abelian oracle searches
-bounded integer combinations, and the free-group oracle closes conjugated
-generators under multiplication.
+oracle closes the generator set under addition and the abelian oracle searches
+bounded integer combinations.
 """
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import itertools
 
 from .abelian import AbelianWord, ab_add, ab_negate, lh
 from .boolean import BooleanWord, bool_add
-from .freegroup import FreeWord, PsiAssignment, v_psi_ball
 from .spaces import Partition
 
 
@@ -70,9 +68,3 @@ def abelian_membership_search(w: AbelianWord, eps: Partition) -> bool:
         return False
 
     return rec(0, AbelianWord.zero(w.ground), 0)
-
-
-def free_membership_closure(w: FreeWord, eps: Partition, cap: int) -> bool:
-    """Membership of w in the bounded conjugate-generator closure of eps."""
-    ball = v_psi_ball(PsiAssignment(default=eps), w.alphabet, cap, max_cap=cap)
-    return w in ball

@@ -20,14 +20,13 @@ from .boolean import (
     BooleanWord,
     ball_equals_subgroup,
     bool_add,
-    graev_norm_bruteforce,
     graev_norm_fast,
     support,
 )
 from .duality import universal_extension
 from .errors import PreconditionError
 from .finite_groups import FiniteGroupTable
-from .freegroup import FreeWord, PsiAssignment, _all_words, eps_tilde_membership, v_psi_ball
+from .freegroup import PsiAssignment, _all_words, eps_tilde_membership, v_psi_ball
 from .serialize import Workspace, format_rational
 from .spaces import Partition
 

@@ -8,13 +8,14 @@ for the adjoined zero element and rejected in user inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Optional
 
 from .abelian import AbelianWord
-from .boolean import BooleanWord, Configuration, NormCertificate
-from .errors import InputError
+from .boolean import BooleanWord, NormCertificate
+from .errors import InputError, PreconditionError, Violation
 from .finite_groups import FiniteGroupTable, IsometricAction
 from .freegroup import FreeWord
 from .spaces import (
@@ -45,21 +46,31 @@ def format_rational(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def parse_space(obj: dict) -> UltraMetricSpace:
-    try:
-        names = tuple(obj["points"])
-        rows = obj["dist"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"space object needs 'points' and 'dist': {exc}") from exc
+def _array(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise InputError(f"{what} must be an array, got {type(v).__name__}")
+    return v
+
+
+def parse_space(obj: dict, basepoint: Optional[str] = None) -> UltraMetricSpace:
+    """The space object; `basepoint`, if given, overrides its "basepoint"."""
+    if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
+        raise InputError("space object needs 'points' and 'dist'")
+    names = tuple(_array(obj["points"], "points"))
+    if not all(isinstance(name, str) for name in names):
+        raise InputError("point names must be strings")
     if len(set(names)) != len(names):
         raise InputError("duplicate point names")
-    dist = tuple(tuple(parse_rational(v) for v in row) for row in rows)
-    basepoint = 0
-    if "basepoint" in obj:
-        if obj["basepoint"] not in names:
-            raise InputError(f"basepoint {obj['basepoint']!r} is not a point")
-        basepoint = names.index(obj["basepoint"])
-    return UltraMetricSpace(dist=dist, names=names, basepoint=basepoint)
+    rows = _array(obj["dist"], "dist")
+    dist = tuple(tuple(parse_rational(v) for v in _array(row, "a dist row")) for row in rows)
+    if basepoint is None:
+        basepoint = obj.get("basepoint")
+    index = 0
+    if basepoint is not None:
+        if basepoint not in names:
+            raise InputError(f"basepoint {basepoint!r} is not a point")
+        index = names.index(basepoint)
+    return UltraMetricSpace(dist=dist, names=names, basepoint=index)
 
 
 def parse_partition(obj: dict, space: UltraMetricSpace) -> Partition:
@@ -67,21 +78,24 @@ def parse_partition(obj: dict, space: UltraMetricSpace) -> Partition:
         blocks = obj["blocks"]
     except (KeyError, TypeError) as exc:
         raise InputError("partition object needs 'blocks'") from exc
-    idx_blocks = tuple(frozenset(space.index(name) for name in b) for b in blocks)
+    idx_blocks = tuple(
+        frozenset(space.index(name) for name in _array(b, "a block"))
+        for b in _array(blocks, "blocks")
+    )
     return Partition(idx_blocks, space.size)
 
 
 def parse_chain(obj, space: UltraMetricSpace) -> PartitionChain:
     if obj == "auto":
         return ball_chain(space)
-    try:
-        levels = obj["levels"]
-    except (KeyError, TypeError) as exc:
-        raise InputError('chain must be "auto" or an object with "levels"') from exc
-    parsed = tuple(
-        (parse_rational(lvl["threshold"]), parse_partition(lvl, space)) for lvl in levels
-    )
-    return PartitionChain(parsed)
+    if not isinstance(obj, dict) or "levels" not in obj:
+        raise InputError('chain must be "auto" or an object with "levels"')
+    parsed = []
+    for lvl in _array(obj["levels"], "levels"):
+        if not isinstance(lvl, dict) or "threshold" not in lvl:
+            raise InputError("a chain level needs 'threshold' and 'blocks'")
+        parsed.append((parse_rational(lvl["threshold"]), parse_partition(lvl, space)))
+    return PartitionChain(tuple(parsed))
 
 
 def parse_boolean_word(obj, space: UltraMetricSpace) -> BooleanWord:
@@ -93,9 +107,10 @@ def parse_boolean_word(obj, space: UltraMetricSpace) -> BooleanWord:
 def parse_abelian_word(obj, space: UltraMetricSpace) -> AbelianWord:
     if not isinstance(obj, dict):
         raise InputError("abelian word must be an object name -> coefficient")
-    return AbelianWord(
-        tuple((space.index(n), int(c)) for n, c in obj.items()), space.size
-    )
+    for c in obj.values():
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise InputError(f"coefficient {c!r} is not an integer")
+    return AbelianWord(tuple((space.index(n), c) for n, c in obj.items()), space.size)
 
 
 def parse_free_word(obj, space: UltraMetricSpace) -> FreeWord:
@@ -103,15 +118,13 @@ def parse_free_word(obj, space: UltraMetricSpace) -> FreeWord:
         raise InputError("free word must be an array of letters")
     letters = []
     for tok in obj:
+        if not isinstance(tok, str):
+            raise InputError(f"letter {tok!r} is not a string")
         if tok.endswith("'"):
             letters.append((space.index(tok[:-1]), -1))
         else:
             letters.append((space.index(tok), 1))
     return FreeWord(tuple(letters), space.size)
-
-
-def encode_boolean_word(u: BooleanWord, names: tuple[str, ...]) -> list[str]:
-    return sorted(names[p] for p in u.points)
 
 
 def encode_certificate(cert: NormCertificate, aug: AugmentedSpace) -> dict:
@@ -132,40 +145,57 @@ class Workspace:
     aug: AugmentedSpace
     chains: dict[str, PartitionChain]
     actions: dict[str, IsometricAction]
-    options: dict[str, Any] = field(default_factory=dict)
+
+
+@contextmanager
+def _section(name: str):
+    """Prefix a Violation with the workspace section it came from; an
+    action's failed isometry check (a PreconditionError) becomes one too."""
+    try:
+        yield
+    except (Violation, PreconditionError) as exc:
+        raise Violation(f"{name}: {exc}") from exc
 
 
 def load_workspace(path: str, basepoint: Optional[str] = None) -> Workspace:
+    """Read and check a workspace file, the one way from a file to objects:
+    InputError for malformed input, Violation for a broken axiom.  The
+    "options" key is accepted and ignored."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: line {exc.lineno} col {exc.colno}") from exc
-    if "space" not in raw:
+    if not isinstance(raw, dict) or "space" not in raw:
         raise InputError("workspace needs a 'space' object")
-    space = parse_space(raw["space"])
-    if basepoint is not None:
-        space = UltraMetricSpace(
-            dist=space.dist, names=space.names, basepoint=space.index(basepoint)
-        )
+    chain_objs, action_objs = raw.get("chains", {}), raw.get("actions", {})
+    if not isinstance(chain_objs, dict) or not isinstance(action_objs, dict):
+        raise InputError("'chains' and 'actions' must be objects")
+    with _section("space"):
+        space = parse_space(raw["space"], basepoint)
     aug = extend_with_zero(space)
-    chains = {
-        name: parse_chain(obj, space) for name, obj in raw.get("chains", {}).items()
-    }
+    chains = {}
+    for name, obj in chain_objs.items():
+        with _section(f"chain {name}"):
+            chains[name] = parse_chain(obj, space)
     if "balls" not in chains:
         chains["balls"] = ball_chain(space)
     actions = {}
-    for name, obj in raw.get("actions", {}).items():
-        perms = [[space.index(n) for n in perm] for perm in obj.get("perms", [])]
+    for name, obj in action_objs.items():
+        if not isinstance(obj, dict):
+            raise InputError(f"action {name!r} must be an object")
+        perms = [
+            [space.index(n) for n in _array(perm, "a permutation")]
+            for perm in _array(obj.get("perms", []), "perms")
+        ]
         if not perms:
             raise InputError(f"action {name!r} has no permutations")
         group, elems = FiniteGroupTable.from_permutations(perms)
-        actions[name] = IsometricAction(group=group, space=space, table=elems)
-    return Workspace(
-        space=space, aug=aug, chains=chains, actions=actions, options=raw.get("options", {})
-    )
+        with _section(f"action {name}"):
+            actions[name] = IsometricAction(group=group, space=space, table=elems)
+    return Workspace(space=space, aug=aug, chains=chains, actions=actions)
 
 
 def dump_json(obj) -> str:

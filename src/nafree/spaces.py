@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, Violation
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -95,7 +95,7 @@ class UltraMetricSpace:
             raise InputError(f"basepoint {self.basepoint} out of range")
         bad = validate_ultrametric(self.dist)
         if bad is not None:
-            raise InputError(f"not an ultra-metric: {bad}")
+            raise Violation(f"not an ultra-metric: {bad}")
 
     @property
     def size(self) -> int:
@@ -142,13 +142,15 @@ class AugmentedSpace:
     def d(self, p: int, q: int) -> Fraction:
         return self.dist[p][q]
 
-    def values(self) -> list[Fraction]:
-        vals = {self.dist[i][j] for i in range(self.size) for j in range(i + 1, self.size)}
-        return sorted(vals)
-
 
 def extend_with_zero(space: UltraMetricSpace, x0: int | None = None) -> AugmentedSpace:
-    """Adjoin the zero element with d(x, 0) = max(d(x, x0), 1)."""
+    """Adjoin the zero element with d(x, 0) = max(d(x, x0), 1).
+
+    The result is an ultra-metric by construction, so it is not re-checked:
+    d(x, y) <= max(d(x, x0), d(x0, y)) <= max(d(x, 0), d(y, 0)), and
+    d(x, 0) <= max(d(x, y), d(y, 0)) since d(x, x0) <= max(d(x, y), d(y, x0))
+    and 1 <= d(y, 0).
+    """
     if x0 is None:
         x0 = space.basepoint
     if not 0 <= x0 < space.size:
@@ -157,11 +159,7 @@ def extend_with_zero(space: UltraMetricSpace, x0: int | None = None) -> Augmente
     zrow = tuple(max(space.d(x, x0), Fraction(1)) for x in range(n))
     rows = [space.dist[i] + (zrow[i],) for i in range(n)]
     rows.append(zrow + (Fraction(0),))
-    dist = tuple(rows)
-    bad = validate_ultrametric(dist)
-    if bad is not None:  # cannot happen for a valid base space
-        raise PreconditionError(f"zero extension broke the ultra-metric: {bad}")
-    return AugmentedSpace(base=space, dist=dist)
+    return AugmentedSpace(base=space, dist=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -178,13 +176,13 @@ class Partition:
         seen: dict[int, int] = {}
         for i, b in enumerate(blocks):
             if not b:
-                raise InputError("empty block")
+                raise Violation("empty block")
             for p in b:
                 if p in seen:
-                    raise InputError(f"point {p} occurs in two blocks")
+                    raise Violation(f"point {p} occurs in two blocks")
                 seen[p] = i
         if set(seen) != set(range(self.ground)):
-            raise InputError("blocks do not cover the ground set 0..n-1")
+            raise Violation("blocks do not cover the ground set 0..n-1")
         object.__setattr__(self, "_block_of", seen)
 
     @classmethod
@@ -228,9 +226,9 @@ class PartitionChain:
         object.__setattr__(self, "levels", levels)
         for (t1, p1), (t2, p2) in zip(levels, levels[1:]):
             if not t2 < t1:
-                raise InputError(f"thresholds must strictly decrease: {t1} then {t2}")
+                raise Violation(f"thresholds must strictly decrease: {t1} then {t2}")
             if not p2.refines(p1):
-                raise InputError(f"level {t2} does not refine level {t1}")
+                raise Violation(f"level {t2} does not refine level {t1}")
 
     def __iter__(self):
         return iter(self.levels)
@@ -243,23 +241,30 @@ class PartitionChain:
         return tuple(p for _, p in self.levels)
 
 
+def _ball_classes(dist: Matrix, points, r: Fraction, strict: bool = False) -> list[list[int]]:
+    """Classes of the relation d(p,q) <= r (d(p,q) < r if strict) on `points`,
+    in first-seen order.  The strong triangle makes the relation transitive,
+    so comparing with the first point of each class decides."""
+    inside = r.__gt__ if strict else r.__ge__
+    classes: list[list[int]] = []
+    for p in points:
+        row = dist[p]
+        for c in classes:
+            if inside(row[c[0]]):
+                c.append(p)
+                break
+        else:
+            classes.append([p])
+    return classes
+
+
 def ball_partition(space, r) -> Partition:
     """Partition by the relation d(p,q) <= r; transitive by strong triangle."""
     r = Fraction(r)
     if r < 0:
         raise PreconditionError(f"negative radius {r}")
-    n = space.size
-    blocks: list[list[int]] = []
-    reps: list[int] = []
-    for p in range(n):
-        for i, rep in enumerate(reps):
-            if space.d(p, rep) <= r:
-                blocks[i].append(p)
-                break
-        else:
-            reps.append(p)
-            blocks.append([p])
-    return Partition(tuple(frozenset(b) for b in blocks), n)
+    blocks = _ball_classes(space.dist, range(space.size), r)
+    return Partition(tuple(frozenset(b) for b in blocks), space.size)
 
 
 def strict_ball_partition(space, r) -> Partition:
@@ -267,18 +272,8 @@ def strict_ball_partition(space, r) -> Partition:
     r = Fraction(r)
     if r <= 0:
         raise PreconditionError(f"radius must be positive, got {r}")
-    n = space.size
-    blocks: list[list[int]] = []
-    reps: list[int] = []
-    for p in range(n):
-        for i, rep in enumerate(reps):
-            if space.d(p, rep) < r:
-                blocks[i].append(p)
-                break
-        else:
-            reps.append(p)
-            blocks.append([p])
-    return Partition(tuple(frozenset(b) for b in blocks), n)
+    blocks = _ball_classes(space.dist, range(space.size), r, strict=True)
+    return Partition(tuple(frozenset(b) for b in blocks), space.size)
 
 
 def ball_chain(space: UltraMetricSpace) -> PartitionChain:

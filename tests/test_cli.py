@@ -5,7 +5,9 @@ from importlib import resources
 import pytest
 from click.testing import CliRunner
 
+import nafree.spaces
 from nafree.cli import main
+from nafree.serialize import load_workspace
 
 WORKSPACE = str(resources.files("nafree") / "data" / "workspace.json")
 
@@ -42,7 +44,7 @@ def test_validate_overlapping_partition(runner, tmp_path):
         tmp_path,
         {
             "space": {"points": ["a", "b"], "dist": [[0, 1], [1, 0]]},
-            "chains": {"bad": [{"threshold": 1, "blocks": [["a", "b"], ["b"]]}]},
+            "chains": {"bad": {"levels": [{"threshold": 1, "blocks": [["a", "b"], ["b"]]}]}},
         },
     )
     res = runner.invoke(main, ["validate", f])
@@ -138,3 +140,118 @@ def test_report_json_deterministic(runner):
     b = runner.invoke(main, ["report", WORKSPACE, "--json"])
     assert a.exit_code == b.exit_code == 0
     assert a.output == b.output
+
+
+# --- one input boundary: exit codes for malformed input and violations ----
+
+with open(WORKSPACE) as fh:
+    BUNDLED = json.load(fh)
+COMMANDS = {
+    "validate": ["validate", None],
+    "norm": ["norm", None, '["p","q"]'],
+    "member": ["member", None, '["p","q"]', "-g", "B"],
+    "report": ["report", None, "--only", "claim6"],
+}
+
+
+def bundled_with(**changes):
+    """The bundled workspace with top-level sections replaced."""
+    obj = json.loads(json.dumps(BUNDLED))
+    obj.update(changes)
+    return obj
+
+
+def space_with(**changes):
+    space = dict(BUNDLED["space"], **changes)
+    return bundled_with(space=space)
+
+
+def argv_for(command, path):
+    return [path if a is None else a for a in COMMANDS[command]]
+
+
+def invoke(runner, argv):
+    res = runner.invoke(main, argv)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert "Traceback" not in res.stdout and "Traceback" not in res.stderr
+    return res
+
+
+def assert_input_error(res):
+    assert res.exit_code == 2
+    assert res.stderr.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        '{"p": 1.5, "q": -1}',  # not read as coefficient 1
+        '{"p": true, "q": -1}',  # not read as coefficient 1
+        '{"p": "x"}',
+    ],
+)
+def test_member_abelian_rejects_non_integer_coefficients(runner, word):
+    assert_input_error(invoke(runner, ["member", WORKSPACE, word, "-g", "A", "--level", "0"]))
+
+
+def test_member_free_rejects_non_string_letters(runner):
+    assert_input_error(invoke(runner, ["member", WORKSPACE, "[1,2]", "-g", "F"]))
+
+
+MALFORMED = {
+    "dist_row_not_a_list": space_with(dist=[["0", "1/2", "2", "2"], 5, 5, 5]),
+    "levels_not_a_list": bundled_with(chains={"bad": {"levels": 5}}),
+    "action_not_an_object": bundled_with(actions={"bad": 5}),
+    "permutation_wrong_length": bundled_with(actions={"short": {"perms": [["q", "p", "r"]]}}),
+}
+
+VIOLATING = {
+    "strong_triangle": space_with(
+        dist=[["0", "1", "3", "3"], ["1", "0", "1", "3"], ["3", "1", "0", "3"], ["3", "3", "3", "0"]]
+    ),
+    "overlapping_chain_blocks": bundled_with(
+        chains={"bad": {"levels": [{"threshold": 2, "blocks": [["p", "q", "r"], ["r", "s"]]}]}}
+    ),
+    "non_isometric_action": bundled_with(actions={"bad": {"perms": [["r", "q", "p", "s"]]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_workspace_exits_2_under_every_command(runner, tmp_path, case):
+    f = write(tmp_path, MALFORMED[case])
+    for command in COMMANDS:
+        assert_input_error(invoke(runner, argv_for(command, f)))
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATING))
+def test_violation_exits_1_under_validate_and_2_elsewhere(runner, tmp_path, case):
+    f = write(tmp_path, VIOLATING[case])
+    res = invoke(runner, argv_for("validate", f))
+    assert res.exit_code == 1
+    assert res.stdout.startswith("violation: ")
+    for command in ("norm", "member", "report"):
+        assert_input_error(invoke(runner, argv_for(command, f)))
+
+
+def test_validate_reports_one_violation_for_a_bad_chain(runner, tmp_path):
+    f = write(tmp_path, VIOLATING["overlapping_chain_blocks"])
+    res = invoke(runner, ["validate", f])
+    violations = [line for line in res.stdout.splitlines() if line.startswith("violation:")]
+    assert violations == ["violation: chain bad: point 2 occurs in two blocks"]
+
+
+def test_strong_triangle_is_checked_once_per_load(runner, monkeypatch):
+    calls = []
+    original = nafree.spaces.validate_ultrametric
+
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(nafree.spaces, "validate_ultrametric", counted)
+    load_workspace(WORKSPACE)
+    assert calls == [4]
+    assert load_workspace(WORKSPACE, "r").space.basepoint == 2
+    assert calls == [4, 4]
+    assert invoke(runner, ["validate", WORKSPACE]).exit_code == 0
+    assert calls == [4, 4, 4]

@@ -8,9 +8,9 @@ from nafree.boolean import BooleanWord
 from nafree.duality import (
     Character,
     ClopenAlgebra,
+    InverseSystem,
     dual_group,
     evaluation_delta,
-    inverse_system_build,
     local_base_SPro,
     universal_extension,
 )
@@ -123,7 +123,7 @@ def _chain():
 
 
 def test_inverse_system_bonds_and_threads():
-    sys = inverse_system_build(_chain())
+    sys = InverseSystem(_chain())
     assert sys.depth == 3
     u = BooleanWord(frozenset({0, 2}), 3)  # element of B(X) itself
     thread = [sys.project_from_base(u, i) for i in range(3)]
@@ -136,7 +136,7 @@ def test_inverse_system_bonds_and_threads():
 def test_inverse_system_constant_chain_identity_bonds():
     part = Partition((frozenset({0, 1}), frozenset({2})), 3)
     chain = PartitionChain(((Fraction(2), part), (Fraction(1), part)))
-    sys = inverse_system_build(chain)
+    sys = InverseSystem(chain)
     for mask in range(4):
         u = BooleanWord(frozenset(i for i in range(2) if mask >> i & 1), 2)
         assert sys.bond(0, u) == u
@@ -144,7 +144,7 @@ def test_inverse_system_constant_chain_identity_bonds():
 
 
 def test_inverse_system_merge_example():
-    sys = inverse_system_build(_chain())
+    sys = InverseSystem(_chain())
     # fine generator {0} maps to the mid block {0,1}, then to the top block
     g = BooleanWord(frozenset({0}), 3)
     mid = sys.bond(1, g)
@@ -154,7 +154,7 @@ def test_inverse_system_merge_example():
 
 
 def test_skip_bond_equals_composition():
-    sys = inverse_system_build(_chain())
+    sys = InverseSystem(_chain())
     for mask in range(8):
         u = BooleanWord(frozenset(i for i in range(3) if mask >> i & 1), 3)
         assert sys.skip_bond(0, 2, u) == sys.bond(0, sys.bond(1, u))

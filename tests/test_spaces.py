@@ -83,6 +83,13 @@ def test_extend_with_zero_always_valid():
         assert validate_ultrametric(ext.dist) is None
 
 
+def test_extend_with_zero_is_ultrametric_at_every_basepoint():
+    # extend_with_zero does not re-check its matrix; this pins that it need not
+    for sp in corpus(seed=2024, count=120):
+        for x0 in range(sp.size):
+            assert validate_ultrametric(extend_with_zero(sp, x0).dist) is None
+
+
 def test_extend_with_zero_bad_basepoint():
     with pytest.raises(PreconditionError):
         extend_with_zero(make_space([[0]]), 5)
