@@ -83,7 +83,7 @@ def norm(file, word, check, cap, basepoint, as_json):
     ws = _load(file, basepoint)
     try:
         u = parse_boolean_word(json.loads(word), ws.space)
-    except (json.JSONDecodeError, InputError) as exc:
+    except (json.JSONDecodeError, RecursionError, InputError) as exc:
         _input_error(str(exc))
     cert = graev_norm_fast(u, ws.aug)
     payload = encode_certificate(cert, ws.aug)
@@ -148,7 +148,7 @@ def member(file, word, group, chain, level, as_json):
             verdict = eps_tilde_membership(w, part)
             img = quotient_hom(w, part)
             evidence = {"quotient_image_length": len(img)}
-    except (json.JSONDecodeError, InputError) as exc:
+    except (json.JSONDecodeError, RecursionError, InputError) as exc:
         _input_error(str(exc))
     blocks = [sorted(ws.space.names[p] for p in b) for b in part.blocks]
     payload = {"member": verdict, "blocks": blocks, **evidence}

@@ -6,8 +6,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import CapExceeded, InputError, PreconditionError
 from .spaces import UltraMetricSpace, Matrix
+
+# largest group `from_permutations` closes: its table has order^2 entries and
+# the group axioms are checked in order^3 steps
+MAX_GROUP_ORDER = 1000
 
 
 @dataclass(frozen=True)
@@ -86,26 +90,30 @@ class FiniteGroupTable:
         """Close a set of permutations under composition.
 
         Returns the group table and the element list (permutation tuples),
-        with composition (p*q)(x) = p(q(x)).
+        with composition (p*q)(x) = p(q(x)).  Raises CapExceeded once the
+        closure has more than MAX_GROUP_ORDER elements.
         """
         deg = len(perms[0]) if perms else 0
         ident = tuple(range(deg))
-        elems = [ident]
-        seen = {ident}
-        queue = [tuple(p) for p in perms]
-        for p in queue:
+        gens = [tuple(p) for p in perms]
+        for p in gens:
             if sorted(p) != list(range(deg)):
                 raise InputError(f"{p} is not a permutation of 0..{deg - 1}")
+        # in a finite group the products of generators already include every
+        # inverse, so closing under multiplication by a generator suffices
+        seen = {ident}
+        queue = [ident]
         while queue:
             p = queue.pop()
-            if p in seen:
-                continue
-            seen.add(p)
-            elems.append(p)
-            for q in list(seen):
-                for comp in (tuple(p[q[x]] for x in range(deg)), tuple(q[p[x]] for x in range(deg))):
-                    if comp not in seen:
-                        queue.append(comp)
+            for g in gens:
+                comp = tuple(p[g[x]] for x in range(deg))
+                if comp not in seen:
+                    seen.add(comp)
+                    if len(seen) > MAX_GROUP_ORDER:
+                        raise CapExceeded(
+                            f"the permutations generate more than {MAX_GROUP_ORDER} elements"
+                        )
+                    queue.append(comp)
         elems = [ident] + sorted(e for e in seen if e != ident)
         pos = {e: i for i, e in enumerate(elems)}
         table = tuple(

@@ -286,6 +286,9 @@ def _trivial_sequences(alphabet: tuple[int, ...], length: int, dbar: Symmetrized
             seq.pop()
 
     rec((), [], length)
+    # `rec` holds itself through its closure cell; deleting it breaks the
+    # cycle, so `out` is freed with the cache entry, not by the collector
+    del rec
     cache[key] = out
     return out
 

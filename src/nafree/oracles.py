@@ -1,16 +1,28 @@
 """Independent brute-force oracles for the membership and norm rules.
 
 These deliberately avoid the decision procedures they certify: the Boolean
-oracle closes the generator set under addition and the abelian oracle searches
-bounded integer combinations.
+oracle closes the generator set under addition, the abelian oracle searches
+bounded integer combinations, and the strong-triangle oracle scans every
+triple of points.
 """
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 from .abelian import AbelianWord, ab_add, ab_negate, lh
 from .boolean import BooleanWord, bool_add
-from .spaces import Partition
+from .spaces import Matrix, Partition
+
+
+def strong_triangle_scan(m: Matrix) -> Optional[tuple[int, int, int]]:
+    """The first triple (i, j, k) of distinct points, in permutation order,
+    with d(i,k) > max(d(i,j), d(j,k)), or None: the O(n^3) definition that
+    `spaces.validate_ultrametric` decides on a spanning tree."""
+    for i, j, k in itertools.permutations(range(len(m)), 3):
+        if m[i][k] > max(m[i][j], m[j][k]):
+            return i, j, k
+    return None
 
 
 def boolean_membership_closure(u: BooleanWord, eps: Partition) -> bool:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .abelian import AbelianWord
 from .boolean import BooleanWord, NormCertificate
-from .errors import InputError, PreconditionError, Violation
+from .errors import CapExceeded, InputError, PreconditionError, Violation
 from .finite_groups import FiniteGroupTable, IsometricAction
 from .freegroup import FreeWord
 from .spaces import (
@@ -99,9 +99,13 @@ def parse_chain(obj, space: UltraMetricSpace) -> PartitionChain:
 
 
 def parse_boolean_word(obj, space: UltraMetricSpace) -> BooleanWord:
+    """Names add mod 2 (x + x = 0 in B(X)): a name listed twice cancels."""
     if not isinstance(obj, list):
         raise InputError("Boolean word must be an array of point names")
-    return BooleanWord(frozenset(space.index(n) for n in obj), space.size)
+    points: set[int] = set()
+    for name in obj:
+        points ^= {space.index(name)}
+    return BooleanWord(frozenset(points), space.size)
 
 
 def parse_abelian_word(obj, space: UltraMetricSpace) -> AbelianWord:
@@ -168,6 +172,8 @@ def load_workspace(path: str, basepoint: Optional[str] = None) -> Workspace:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: line {exc.lineno} col {exc.colno}") from exc
+    except RecursionError as exc:
+        raise InputError(f"invalid JSON in {path}: nested too deeply") from exc
     if not isinstance(raw, dict) or "space" not in raw:
         raise InputError("workspace needs a 'space' object")
     chain_objs, action_objs = raw.get("chains", {}), raw.get("actions", {})
@@ -192,7 +198,10 @@ def load_workspace(path: str, basepoint: Optional[str] = None) -> Workspace:
         ]
         if not perms:
             raise InputError(f"action {name!r} has no permutations")
-        group, elems = FiniteGroupTable.from_permutations(perms)
+        try:
+            group, elems = FiniteGroupTable.from_permutations(perms)
+        except CapExceeded as exc:
+            raise InputError(f"action {name}: {exc}") from exc
         with _section(f"action {name}"):
             actions[name] = IsometricAction(group=group, space=space, table=elems)
     return Workspace(space=space, aug=aug, chains=chains, actions=actions)

@@ -6,7 +6,6 @@ comparisons and ties are decided exactly.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -17,10 +16,43 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    out = []
-    for row in rows:
-        out.append(tuple(Fraction(v) for v in row))
-    return tuple(out)
+    """Rows as tuples of Fractions; an entry that is already one is kept."""
+    return tuple(
+        tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row) for row in rows
+    )
+
+
+def _strong_triangle_witness(m: Matrix) -> Optional[tuple[int, int, int]]:
+    """A triple (i, j, k) with i < k and d(i,k) > max(d(i,j), d(j,k)), or
+    None if there is none.  `m` is square and symmetric with zero diagonal;
+    other zero entries are allowed (ultra-pseudometrics).
+
+    Such a matrix satisfies the strong triangle iff every entry equals the
+    largest edge on the path between its points in a minimum spanning tree
+    (Gower & Ross 1969), and an entry is never below that edge.  So one
+    Prim's run decides in O(n^2): when v joins through parent p, the largest
+    edge to an earlier tree point u is max(d(p,u), d(v,p)), since the pair
+    (p,u) has already passed, and if d(v,u) exceeds it, (v, p, u) is a
+    witness.
+    """
+    n = len(m)
+    if n < 3:
+        return None
+    parent, best = [0] * n, list(m[0])
+    tree, rest = [0], list(range(1, n))
+    while rest:
+        v = min(rest, key=best.__getitem__)
+        rest.remove(v)
+        p, row = parent[v], m[v]
+        w, via = best[v], m[p]
+        for u in tree:
+            if row[u] > w and row[u] > via[u]:
+                return min(v, u), p, max(v, u)
+        tree.append(v)
+        for x in rest:
+            if row[x] < best[x]:
+                best[x], parent[x] = row[x], v
+    return None
 
 
 @dataclass(frozen=True)
@@ -64,14 +96,15 @@ def validate_ultrametric(rows: Sequence[Sequence]) -> Optional[MetricViolation]:
                 )
             if m[i][j] == 0:
                 return MetricViolation("positivity", (i, j), f"d({i},{j}) = 0 for {i} != {j}")
-    for i, j, k in itertools.permutations(range(n), 3):
+    bad = _strong_triangle_witness(m)
+    if bad is not None:
+        i, j, k = bad
         bound = max(m[i][j], m[j][k])
-        if m[i][k] > bound:
-            return MetricViolation(
-                "strong_triangle",
-                (i, j, k),
-                f"d({i},{k}) = {m[i][k]} > max(d({i},{j}), d({j},{k})) = {bound}",
-            )
+        return MetricViolation(
+            "strong_triangle",
+            bad,
+            f"d({i},{k}) = {m[i][k]} > max(d({i},{j}), d({j},{k})) = {bound}",
+        )
     return None
 
 
@@ -307,9 +340,9 @@ def _check_ultra_pseudometric(m: Matrix, bound: Fraction) -> None:
                 raise InputError(f"entry ({i},{j}) = {m[i][j]} outside [0, {bound}]")
             if m[i][j] != m[j][i]:
                 raise InputError(f"asymmetric at ({i},{j})")
-    for i, j, k in itertools.permutations(range(n), 3):
-        if m[i][k] > max(m[i][j], m[j][k]):
-            raise InputError(f"strong triangle fails at ({i},{j},{k})")
+    bad = _strong_triangle_witness(m)
+    if bad is not None:
+        raise InputError("strong triangle fails at ({},{},{})".format(*bad))
 
 
 def combine_pseudometrics(family: Sequence[Sequence[Sequence]]) -> CombinedMetric:

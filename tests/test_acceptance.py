@@ -1,4 +1,4 @@
-"""Acceptance suite: the twelve package-level criteria.
+"""Acceptance suite: the thirteen package-level criteria.
 
 Each test prints a single summary line on success; a failure shows up as a
 plain pytest assertion.  The whole module is budgeted to finish well under
@@ -29,7 +29,7 @@ from nafree.boolean import (
 )
 from nafree.cli import main
 from nafree.duality import Character, evaluation_delta, universal_extension
-from nafree.errors import PreconditionError
+from nafree.errors import InputError, PreconditionError
 from nafree.finite_groups import FiniteGroupTable, IsometricAction
 from nafree.freegroup import (
     FreeWord,
@@ -42,8 +42,8 @@ from nafree.freegroup import (
     graev_delta_bruteforce,
     v_psi_ball,
 )
-from nafree.oracles import abelian_membership_search, boolean_membership_closure
-from nafree.spaces import Partition, ball_chain
+from nafree.oracles import abelian_membership_search, boolean_membership_closure, strong_triangle_scan
+from nafree.spaces import Partition, ball_chain, combine_pseudometrics, extend_with_zero, validate_ultrametric
 
 WORKSPACE = str(resources.files("nafree") / "data" / "workspace.json")
 
@@ -428,3 +428,49 @@ def test_acceptance_12_determinism():
     assert a.output_bytes == b.output_bytes
     json.loads(a.output)  # well-formed machine output
     _announce(12, f"byte-identical {len(a.output_bytes)}-byte reports")
+
+
+# --- 13. the spanning-tree strong-triangle check equals the triple scan ----
+
+
+def _random_symmetric(rng, n, values):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = rng.choice(values)
+    return tuple(tuple(r) for r in rows)
+
+
+def test_acceptance_13_strong_triangle_oracle():
+    rng = random.Random(13)
+    ties = tuple(Fraction(v) for v in (1, 2, 3))
+    mats = [_random_symmetric(rng, rng.randint(1, 8), ties) for _ in range(3000)]
+    for space in corpus(1313, 100):
+        mats.append(space.dist)
+        mats += [extend_with_zero(space, x0).dist for x0 in range(space.size)]
+    violators = 0
+    for m in mats:
+        bad = validate_ultrametric(m)
+        assert (bad is None) == (strong_triangle_scan(m) is None), m
+        if bad is not None:
+            violators += 1
+            i, j, k = bad.points
+            assert bad.kind == "strong_triangle" and len({i, j, k}) == 3
+            assert m[i][k] > max(m[i][j], m[j][k])
+    # ultra-pseudometrics: distinct points may be at distance 0
+    pseudo_ties = tuple(Fraction(v, 2) for v in (0, 1, 2))
+    rejected = 0
+    for _ in range(1000):
+        m = _random_symmetric(rng, rng.randint(1, 8), pseudo_ties)
+        try:
+            combine_pseudometrics([m])
+        except InputError:
+            rejected += 1
+            assert strong_triangle_scan(m) is not None, m
+        else:
+            assert strong_triangle_scan(m) is None, m
+    assert violators and rejected
+    _announce(
+        13,
+        f"{len(mats)} matrices, {violators} violators with genuine witnesses; "
+        f"1000 pseudometrics, {rejected} rejected",
+    )

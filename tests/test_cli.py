@@ -255,3 +255,41 @@ def test_strong_triangle_is_checked_once_per_load(runner, monkeypatch):
     assert calls == [4, 4]
     assert invoke(runner, ["validate", WORKSPACE]).exit_code == 0
     assert calls == [4, 4, 4]
+
+
+# --- repeated Boolean names, nesting depth and group size ------------------
+
+
+def test_repeated_boolean_names_add_mod_2(runner):
+    res = invoke(runner, ["norm", WORKSPACE, '["p","p"]', "--json"])
+    assert res.exit_code == 0 and json.loads(res.stdout)["value"] == "0"
+    res = invoke(runner, ["member", WORKSPACE, '["p","p"]', "-g", "B", "--level", "0", "--json"])
+    assert res.exit_code == 0 and json.loads(res.stdout)["member"] is True
+    for argv in (["norm", WORKSPACE], ["member", WORKSPACE, "-g", "B", "--level", "1"]):
+        twice = invoke(runner, argv[:2] + ['["p","q","p"]'] + argv[2:] + ["--json"])
+        once = invoke(runner, argv[:2] + ['["q"]'] + argv[2:] + ["--json"])
+        assert (twice.exit_code, twice.stdout) == (once.exit_code, once.stdout)
+
+
+def test_deeply_nested_json_is_an_input_error(runner, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    for command in COMMANDS:
+        assert_input_error(invoke(runner, argv_for(command, str(p))))
+    deep = "[" * 5000 + "]" * 5000
+    assert_input_error(invoke(runner, ["norm", WORKSPACE, deep]))
+    for group in "BAF":
+        assert_input_error(invoke(runner, ["member", WORKSPACE, deep, "-g", group]))
+
+
+def test_oversized_action_group_is_an_input_error(runner, tmp_path):
+    # a transposition and a 10-cycle generate all 10! permutations
+    names = [f"x{i}" for i in range(10)]
+    dist = [[int(i != j) for j in range(10)] for i in range(10)]
+    perms = [names[1::-1] + names[2:], names[1:] + names[:1]]
+    f = write(tmp_path, {"space": {"points": names, "dist": dist},
+                         "actions": {"big": {"perms": perms}}})
+    for command in COMMANDS:
+        res = invoke(runner, argv_for(command, f))
+        assert_input_error(res)
+        assert res.stderr.startswith("input error: action big: ")

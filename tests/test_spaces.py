@@ -192,6 +192,12 @@ def test_combine_separation_failure_reported():
     assert not out.separates
 
 
+def test_combine_rejects_strong_triangle_failure():
+    d = [[0, 0, 1], [0, 0, 0], [1, 0, 0]]  # d(0,2) = 1 > max(d(0,1), d(1,2)) = 0
+    with pytest.raises(InputError, match=r"strong triangle fails at \(0,1,2\)"):
+        combine_pseudometrics([d])
+
+
 def test_combine_rejects_unbounded_entries():
     with pytest.raises(InputError):
         combine_pseudometrics([[[0, 2], [2, 0]]])
