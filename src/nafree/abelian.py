@@ -89,21 +89,16 @@ def enumerate_Bn(n: int, ground: int, cap: int = DEFAULT_BN_CAP) -> list[Abelian
         raise CapExceeded(f"n = {n} exceeds the enumeration cap {cap}")
     if n < 0:
         raise PreconditionError("n must be nonnegative")
-    out: list[AbelianWord] = []
-
-    def rec(point: int, budget: int, acc: list[tuple[int, int]]) -> None:
-        if point == ground:
-            out.append(AbelianWord(tuple(acc), ground))
-            return
-        for c in range(-budget, budget + 1):
-            if c != 0:
-                acc.append((point, c))
-            rec(point + 1, budget - abs(c), acc)
-            if c != 0:
-                acc.pop()
-
-    rec(0, n, [])
-    return out
+    # (coefficients so far, length left), extended one point at a time with
+    # every coefficient in increasing order
+    partial: list[tuple[tuple[tuple[int, int], ...], int]] = [((), n)]
+    for point in range(ground):
+        partial = [
+            (acc + ((point, c),) if c else acc, budget - abs(c))
+            for acc, budget in partial
+            for c in range(-budget, budget + 1)
+        ]
+    return [AbelianWord(acc, ground) for acc, _ in partial]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import click
 
 from .abelian import ab_eps_membership, class_sums
 from .boolean import eps_subgroup_membership, graev_norm_bruteforce, graev_norm_fast
-from .errors import CapExceeded, InputError, NafreeError, Violation
+from .errors import CapExceeded, InputError, NafreeError, Violation, shown
 from .freegroup import eps_tilde_membership, quotient_hom
 from .report import CLAIMS, run_report
 from .serialize import (
@@ -124,7 +124,7 @@ def member(file, word, group, chain, level, as_json):
     """
     ws = _load(file, None)
     if chain not in ws.chains:
-        _input_error(f"unknown chain {chain!r}")
+        _input_error(f"unknown chain {shown(chain)}")
     levels = ws.chains[chain].levels
     if not -len(levels) <= level < len(levels):
         _input_error(f"level {level} out of range")

@@ -9,9 +9,28 @@ from typing import Sequence
 from .errors import CapExceeded, InputError, PreconditionError
 from .spaces import UltraMetricSpace, Matrix
 
-# largest group `from_permutations` closes: its table has order^2 entries and
-# the group axioms are checked in order^3 steps
+# largest group `from_permutations` closes: its table has order^2 entries,
+# and the group axioms are checked in order^2 steps times the generators
 MAX_GROUP_ORDER = 1000
+
+
+def _generators(table: tuple[tuple[int, ...], ...], ident: int) -> list[int]:
+    """Elements, chosen greedily in increasing order, whose left-nested
+    products ((ident*s1)*s2)*... reach every element of the table."""
+    gens: list[int] = []
+    reached = {ident}
+    for g in range(len(table)):
+        if g in reached:
+            continue
+        gens.append(g)
+        # reached elements were closed under the earlier generators
+        queue = [table[r][g] for r in reached]
+        while queue:
+            x = queue.pop()
+            if x not in reached:
+                reached.add(x)
+                queue.extend(table[x][s] for s in gens)
+    return gens
 
 
 @dataclass(frozen=True)
@@ -46,9 +65,16 @@ class FiniteGroupTable:
             if gi is None or table[gi][g] != ident:
                 raise InputError(f"element {g} has no two-sided inverse")
             inv.append(gi)
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise InputError(f"associativity fails at ({a},{b},{c})")
+        # Light's test: the elements g with (a*b)*g == a*(b*g) for all a, b
+        # are closed under products, so checking g over a set that generates
+        # the table by left-nested products covers every triple
+        for c in _generators(table, ident):
+            col = [row[c] for row in table]  # b -> b*c
+            for a, row in enumerate(table):
+                # (a*b)*c against a*(b*c) for every b at once
+                if [col[x] for x in row] != [row[y] for y in col]:
+                    b = next(b for b in range(n) if col[row[b]] != row[col[b]])
+                    raise InputError(f"associativity fails at ({a},{b},{c})")
         object.__setattr__(self, "identity", ident)
         object.__setattr__(self, "inv", tuple(inv))
 
@@ -100,15 +126,17 @@ class FiniteGroupTable:
             if sorted(p) != list(range(deg)):
                 raise InputError(f"{p} is not a permutation of 0..{deg - 1}")
         # in a finite group the products of generators already include every
-        # inverse, so closing under multiplication by a generator suffices
-        seen = {ident}
+        # inverse, so closing under multiplication by a generator suffices;
+        # each element maps to the (element, generator) it was first reached
+        # from, and dict order puts that element before it
+        seen: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {ident: None}
         queue = [ident]
         while queue:
             p = queue.pop()
-            for g in gens:
+            for k, g in enumerate(gens):
                 comp = tuple(p[g[x]] for x in range(deg))
                 if comp not in seen:
-                    seen.add(comp)
+                    seen[comp] = (p, k)
                     if len(seen) > MAX_GROUP_ORDER:
                         raise CapExceeded(
                             f"the permutations generate more than {MAX_GROUP_ORDER} elements"
@@ -116,9 +144,16 @@ class FiniteGroupTable:
                     queue.append(comp)
         elems = [ident] + sorted(e for e in seen if e != ident)
         pos = {e: i for i, e in enumerate(elems)}
-        table = tuple(
-            tuple(pos[tuple(p[q[x]] for x in range(deg))] for q in elems) for p in elems
-        )
+        # the row of p*g is the row of p read through q -> g*q
+        through = [[pos[tuple(map(g.__getitem__, q))] for q in elems] for g in gens]
+        rows = {}
+        for e, parent in seen.items():
+            if parent is None:
+                rows[e] = list(range(len(elems)))
+            else:
+                row = rows[parent[0]]
+                rows[e] = [row[i] for i in through[parent[1]]]
+        table = tuple(tuple(rows[e]) for e in elems)
         return cls(table), tuple(elems)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .abelian import AbelianWord
 from .boolean import BooleanWord
@@ -73,19 +73,35 @@ def fg_invert(u: FreeWord) -> FreeWord:
     return FreeWord(tuple((p, -s) for p, s in reversed(u.letters)), u.alphabet)
 
 
+def _image(letters: Sequence[Letter], eps: Partition) -> list[Letter]:
+    """The reduced image of a letter sequence over eps's ground set in the
+    free group over its blocks: one stack pass that maps each letter to its
+    block and cancels as it goes."""
+    block = eps.block_index
+    out: list[Letter] = []
+    for p, s in letters:
+        b = block(p)
+        if out and out[-1] == (b, -s):
+            out.pop()
+        else:
+            out.append((b, s))
+    return out
+
+
 def quotient_hom(w: FreeWord, eps: Partition) -> FreeWord:
     """Replace each letter by its block and reduce: the induced homomorphism
     onto the free group over the blocks."""
     if w.alphabet != eps.ground:
         raise PreconditionError("word alphabet does not match the partition")
-    letters = tuple((eps.block_index(p), s) for p, s in w.letters)
-    return FreeWord(letters, len(eps.blocks))
+    return FreeWord(tuple(_image(w.letters, eps)), len(eps.blocks))
 
 
 def eps_tilde_membership(w: FreeWord, eps: Partition) -> bool:
     """Membership in the normal subgroup generated by the conjugated
     epsilon-generators: exactly the kernel of the quotient homomorphism."""
-    return quotient_hom(w, eps).is_identity()
+    if w.alphabet != eps.ground:
+        raise PreconditionError("word alphabet does not match the partition")
+    return not _image(w.letters, eps)
 
 
 @dataclass(frozen=True)
@@ -119,39 +135,27 @@ def _raw_words(alphabet: int, max_len: int) -> list[tuple[Letter, ...]]:
     return out
 
 
-def _all_words(alphabet: int, max_len: int) -> Iterator[FreeWord]:
-    """All freely reduced words of length <= max_len, in `_raw_words` order."""
-    return (FreeWord(w, alphabet) for w in _raw_words(alphabet, max_len))
-
-
 def _constant_closure(
     eps: Partition, alphabet: int, length_cap: int
 ) -> frozenset[tuple[Letter, ...]]:
     """Exact ball of the subgroup generated by conjugated eps-generators.
 
-    Decided top-down: a reduced word lies in the closure iff deleting some
-    adjacent pair x^s y^-s with x, y eps-equivalent (each deletion is right
-    multiplication by an inverse conjugated generator) leads to the empty
-    word.  Any shorter representative is reachable this way, so within the
-    cap the search is complete, not merely a semi-decision.
+    A reduced word lies in the closure iff deleting some adjacent pair
+    x^s y^-s with x, y eps-equivalent (each deletion is right multiplication
+    by an inverse conjugated generator) leads to the empty word.  Any
+    shorter representative is reachable this way, so within the cap the
+    search is complete, not merely a semi-decision.  A deletion leaves a
+    shorter word, which `_raw_words` lists earlier, so one breadth-first
+    pass decides every word from words already decided.
     """
-    memo: dict[tuple[Letter, ...], bool] = {(): True}
-
-    def decide(w: tuple[Letter, ...]) -> bool:
-        if w in memo:
-            return memo[w]
-        memo[w] = False  # guards against revisiting along the recursion
-        ok = False
+    closed: set[tuple[Letter, ...]] = {()}
+    for w in _raw_words(alphabet, length_cap):
         for i in range(len(w) - 1):
             (x, s), (y, t) = w[i], w[i + 1]
-            if t == -s and eps.same_block(x, y):
-                if decide(_reduce(w[:i] + w[i + 2 :])):
-                    ok = True
-                    break
-        memo[w] = ok
-        return ok
-
-    return frozenset(w for w in _raw_words(alphabet, length_cap) if decide(w))
+            if t == -s and eps.same_block(x, y) and _reduce(w[:i] + w[i + 2 :]) in closed:
+                closed.add(w)
+                break
+    return frozenset(closed)
 
 
 def v_psi_ball(

@@ -55,28 +55,31 @@ def abelian_membership_search(w: AbelianWord, eps: Partition) -> bool:
     mass at most lh(w)."""
     if w.is_zero():
         return True
-    budget = lh(w)
     gens = [
         AbelianWord(((x, 1), (y, -1)), w.ground)
         for block in eps.blocks
         for x, y in itertools.combinations(sorted(block), 2)
     ]
+    return _combination_reaches(w, gens, 0, AbelianWord.zero(w.ground), lh(w))
 
-    def rec(i: int, acc: AbelianWord, mass: int) -> bool:
-        if acc == w:
-            return True
-        if i == len(gens):
-            return False
-        for c in range(-(budget - mass), budget - mass + 1):
-            term = acc
-            if c > 0:
-                for _ in range(c):
-                    term = ab_add(term, gens[i])
-            elif c < 0:
-                for _ in range(-c):
-                    term = ab_add(term, ab_negate(gens[i]))
-            if rec(i + 1, term, mass + abs(c)):
-                return True
+
+def _combination_reaches(
+    w: AbelianWord, gens: list[AbelianWord], i: int, acc: AbelianWord, budget: int
+) -> bool:
+    """Depth first: does acc plus an integer combination of gens[i:] of total
+    mass at most `budget` equal w?"""
+    if acc == w:
+        return True
+    if i == len(gens):
         return False
-
-    return rec(0, AbelianWord.zero(w.ground), 0)
+    for c in range(-budget, budget + 1):
+        term = acc
+        if c > 0:
+            for _ in range(c):
+                term = ab_add(term, gens[i])
+        elif c < 0:
+            for _ in range(-c):
+                term = ab_add(term, ab_negate(gens[i]))
+        if _combination_reaches(w, gens, i + 1, term, budget - abs(c)):
+            return True
+    return False

@@ -24,9 +24,9 @@ from .boolean import (
     support,
 )
 from .duality import universal_extension
-from .errors import PreconditionError
+from .errors import PreconditionError, shown
 from .finite_groups import FiniteGroupTable
-from .freegroup import PsiAssignment, _all_words, eps_tilde_membership, v_psi_ball
+from .freegroup import _constant_closure, _image, _raw_words
 from .serialize import Workspace, format_rational
 from .spaces import Partition
 
@@ -84,12 +84,13 @@ def _check_claim7(ws: Workspace) -> tuple[bool, str]:
 
 def _check_l_eps(ws: Workspace) -> tuple[bool, str]:
     cap = 4
-    words = list(_all_words(ws.space.size, cap))
+    n = ws.space.size
+    words = _raw_words(n, cap)
     count = 0
     for part in ws.chains["balls"].partitions:
-        ball = v_psi_ball(PsiAssignment(default=part), ws.space.size, cap, max_cap=cap)
+        closure = _constant_closure(part, n, cap)
         for w in words:
-            if eps_tilde_membership(w, part) != (w in ball):
+            if (not _image(w, part)) != (w in closure):
                 return False, f"kernel mismatch at partition {part.blocks}"
             count += 1
     return True, f"{count} word/partition checks at cap {cap}"
@@ -161,7 +162,7 @@ _CHECKS = {
 def run_report(ws: Workspace, only: str | None = None) -> dict[str, dict]:
     claims = CLAIMS if only is None else (only,)
     if only is not None and only not in _CHECKS:
-        raise PreconditionError(f"unknown claim {only!r}; choose from {', '.join(CLAIMS)}")
+        raise PreconditionError(f"unknown claim {shown(only)}; choose from {', '.join(CLAIMS)}")
     rows = {}
     for claim in claims:
         try:

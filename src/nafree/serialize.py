@@ -15,7 +15,7 @@ from typing import Optional
 
 from .abelian import AbelianWord
 from .boolean import BooleanWord, NormCertificate
-from .errors import CapExceeded, InputError, PreconditionError, Violation
+from .errors import CapExceeded, InputError, PreconditionError, Violation, clip, shown
 from .finite_groups import FiniteGroupTable, IsometricAction
 from .freegroup import FreeWord
 from .spaces import (
@@ -30,15 +30,15 @@ from .spaces import (
 
 def parse_rational(v) -> Fraction:
     if isinstance(v, bool):
-        raise InputError(f"not a rational: {v!r}")
+        raise InputError(f"not a rational: {shown(v)}")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed rational {v!r}: {exc}") from exc
-    raise InputError(f"not a rational: {v!r}")
+            raise InputError(f"malformed rational {shown(v)}: {clip(str(exc))}") from exc
+    raise InputError(f"not a rational: {shown(v)}")
 
 
 def format_rational(v: Fraction) -> str:
@@ -68,7 +68,7 @@ def parse_space(obj: dict, basepoint: Optional[str] = None) -> UltraMetricSpace:
     index = 0
     if basepoint is not None:
         if basepoint not in names:
-            raise InputError(f"basepoint {basepoint!r} is not a point")
+            raise InputError(f"basepoint {shown(basepoint)} is not a point")
         index = names.index(basepoint)
     return UltraMetricSpace(dist=dist, names=names, basepoint=index)
 
@@ -113,7 +113,7 @@ def parse_abelian_word(obj, space: UltraMetricSpace) -> AbelianWord:
         raise InputError("abelian word must be an object name -> coefficient")
     for c in obj.values():
         if isinstance(c, bool) or not isinstance(c, int):
-            raise InputError(f"coefficient {c!r} is not an integer")
+            raise InputError(f"coefficient {shown(c)} is not an integer")
     return AbelianWord(tuple((space.index(n), c) for n, c in obj.items()), space.size)
 
 
@@ -123,7 +123,7 @@ def parse_free_word(obj, space: UltraMetricSpace) -> FreeWord:
     letters = []
     for tok in obj:
         if not isinstance(tok, str):
-            raise InputError(f"letter {tok!r} is not a string")
+            raise InputError(f"letter {shown(tok)} is not a string")
         if tok.endswith("'"):
             letters.append((space.index(tok[:-1]), -1))
         else:
@@ -184,25 +184,25 @@ def load_workspace(path: str, basepoint: Optional[str] = None) -> Workspace:
     aug = extend_with_zero(space)
     chains = {}
     for name, obj in chain_objs.items():
-        with _section(f"chain {name}"):
+        with _section(f"chain {clip(name)}"):
             chains[name] = parse_chain(obj, space)
     if "balls" not in chains:
         chains["balls"] = ball_chain(space)
     actions = {}
     for name, obj in action_objs.items():
         if not isinstance(obj, dict):
-            raise InputError(f"action {name!r} must be an object")
+            raise InputError(f"action {shown(name)} must be an object")
         perms = [
             [space.index(n) for n in _array(perm, "a permutation")]
             for perm in _array(obj.get("perms", []), "perms")
         ]
         if not perms:
-            raise InputError(f"action {name!r} has no permutations")
+            raise InputError(f"action {shown(name)} has no permutations")
         try:
             group, elems = FiniteGroupTable.from_permutations(perms)
         except CapExceeded as exc:
-            raise InputError(f"action {name}: {exc}") from exc
-        with _section(f"action {name}"):
+            raise InputError(f"action {clip(name)}: {exc}") from exc
+        with _section(f"action {clip(name)}"):
             actions[name] = IsometricAction(group=group, space=space, table=elems)
     return Workspace(space=space, aug=aug, chains=chains, actions=actions)
 

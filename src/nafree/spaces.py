@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InputError, PreconditionError, Violation
+from .errors import InputError, PreconditionError, Violation, shown
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -146,7 +146,7 @@ class UltraMetricSpace:
         try:
             return self.names.index(name)
         except ValueError:
-            raise InputError(f"unknown point name {name!r}") from None
+            raise InputError(f"unknown point name {shown(name)}") from None
 
 
 @dataclass(frozen=True)

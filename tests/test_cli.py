@@ -293,3 +293,44 @@ def test_oversized_action_group_is_an_input_error(runner, tmp_path):
         res = invoke(runner, argv_for(command, f))
         assert_input_error(res)
         assert res.stderr.startswith("input error: action big: ")
+
+
+DEEP = "[" * 900 + "]" * 900  # parses: well under the JSON nesting limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", WORKSPACE, DEEP],
+        ["member", WORKSPACE, DEEP, "-g", "F"],
+        ["member", WORKSPACE, '{"p": %s}' % DEEP, "-g", "A"],
+        ["norm", WORKSPACE, '["p"]', "--basepoint", "x" * 2000],
+        ["member", WORKSPACE, '["p"]', "-g", "B", "--chain", "c" * 2000],
+    ],
+)
+def test_echoed_input_is_bounded(runner, argv):
+    res = invoke(runner, argv)
+    assert_input_error(res)
+    assert len(res.stderr) < 200
+
+
+def _long_values(kind):
+    if kind == "chain name":  # a violation in a chain with a long name
+        blocks = [["p", "q"], ["q", "r", "s"]]
+        return bundled_with(chains={"c" * 2000: {"levels": [{"threshold": "1", "blocks": blocks}]}})
+    dist = json.loads(json.dumps(BUNDLED["space"]["dist"]))
+    dist[0][1] = dist[1][0] = json.loads(DEEP) if kind == "deep rational" else "1/" + "x" * 2000
+    return space_with(dist=dist)
+
+
+@pytest.mark.parametrize("kind", ["deep rational", "long rational", "chain name"])
+@pytest.mark.parametrize("command", ["validate", "norm"])
+def test_echoed_workspace_value_is_bounded(runner, tmp_path, kind, command):
+    res = invoke(runner, argv_for(command, write(tmp_path, _long_values(kind))))
+    assert res.exit_code in (1, 2)
+    assert 0 < len(res.stdout + res.stderr) < 200
+
+
+def test_short_echoed_input_is_shown_whole(runner):
+    res = invoke(runner, ["norm", WORKSPACE, '[["x", 1, {"k": null}]]'])
+    assert res.stderr == "input error: unknown point name ['x', 1, {'k': None}]\n"

@@ -1,5 +1,8 @@
 """Finite group tables, seminorms and isometric actions."""
 import itertools
+import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +33,68 @@ def test_non_associative_table_rejected():
     # mul[a][b] = a (right projection) has no two-sided identity
     with pytest.raises(InputError):
         FiniteGroupTable(((0, 0), (1, 1)))
+
+
+def _associative(mul):
+    """The definition, over every triple: the reference for Light's test."""
+    n = len(mul)
+    return all(
+        mul[mul[a][b]][c] == mul[a][mul[b][c]] for a, b, c in itertools.product(range(n), repeat=3)
+    )
+
+
+def _genuine_failure(mul, message):
+    a, b, c = map(int, re.fullmatch(r"associativity fails at \((\d+),(\d+),(\d+)\)", message).groups())
+    return mul[mul[a][b]][c] != mul[a][mul[b][c]]
+
+
+def test_non_associative_loop_rejected_with_a_genuine_triple():
+    # a Latin square with identity 0 and every element its own inverse: a
+    # loop of order 5, which no group is (Z_5 has no element of order 2)
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    with pytest.raises(InputError, match="associativity fails at") as info:
+        FiniteGroupTable(loop)
+    assert _genuine_failure(loop, str(info.value))
+
+
+def test_associativity_check_matches_every_triple():
+    # group tables of order 1..8 with up to three entries swapped away from
+    # the identity row and column: accepted exactly when every triple holds
+    rng = random.Random(5)
+    groups = [FiniteGroupTable.cyclic(k).mul for k in range(1, 9)]
+    groups += [FiniteGroupTable.boolean_power(k).mul for k in (2, 3)]
+    groups.append(FiniteGroupTable.from_permutations([(1, 0, 2), (0, 2, 1)])[0].mul)
+    reached = rejected = 0
+    for _ in range(3000):
+        mul = [list(row) for row in rng.choice(groups)]
+        n = len(mul)
+        for _ in range(rng.randint(0, 3) if n > 1 else 0):
+            a, b, c, d = (rng.randrange(1, n) for _ in range(4))
+            mul[a][b], mul[c][d] = mul[c][d], mul[a][b]
+        mul = tuple(tuple(row) for row in mul)
+        try:
+            FiniteGroupTable(mul)
+        except InputError as exc:
+            if not str(exc).startswith("associativity"):
+                continue  # no identity or no inverses: decided before associativity
+            assert not _associative(mul) and _genuine_failure(mul, str(exc))
+            rejected += 1
+        else:
+            assert _associative(mul)
+        reached += 1
+    assert reached > 1500 and rejected > 300
+
+
+def test_symmetric_group_s6_builds_quickly():
+    # a transposition and a 6-cycle generate all 720 permutations
+    start = time.perf_counter()
+    table, elems = FiniteGroupTable.from_permutations([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
+    assert time.perf_counter() - start < 2
+    assert elems == tuple(sorted(itertools.permutations(range(6))))
+    pos = {e: i for i, e in enumerate(elems)}
+    assert table.mul == tuple(
+        tuple(pos[tuple(p[q[x]] for x in range(6))] for q in elems) for p in elems
+    )
 
 
 def test_from_permutations_closes():

@@ -86,6 +86,15 @@ def test_eps_tilde_membership_examples():
     assert not eps_tilde_membership(fw([(0, 1), (1, -1)]), across)
 
 
+def test_quotient_rejects_a_mismatched_alphabet():
+    part = Partition.discrete(2)
+    for word in (FreeWord((), 3), FreeWord(((0, 1),), 3)):
+        with pytest.raises(PreconditionError):
+            eps_tilde_membership(word, part)
+        with pytest.raises(PreconditionError):
+            quotient_hom(word, part)
+
+
 def test_kernel_chain_inclusion():
     # finer partition => smaller kernel
     fine = Partition((frozenset({0, 1}), frozenset({2})), 3)

@@ -1,0 +1,59 @@
+"""The `report` property suite: what its rows compare, and that the suite
+and the enumerators it uses leave no cyclic garbage behind."""
+import gc
+import random
+from importlib import resources
+
+from corpus import random_ultrametric
+from nafree import freegroup, report
+from nafree.abelian import AbelianWord, enumerate_Bn
+from nafree.freegroup import PsiAssignment, v_psi_ball
+from nafree.oracles import abelian_membership_search
+from nafree.report import CLAIMS, run_report
+from nafree.serialize import Workspace, load_workspace
+from nafree.spaces import Partition, ball_chain, extend_with_zero
+
+WORKSPACE = str(resources.files("nafree") / "data" / "workspace.json")
+
+
+def _corpus_workspace(rng, size):
+    space = random_ultrametric(rng, size)
+    return Workspace(space, extend_with_zero(space), {"balls": ball_chain(space)}, {})
+
+
+def test_no_reference_cycles():
+    # a self-referencing closure or a memo that refers back to its search
+    # leaves garbage that only the cycle collector frees, so peak memory
+    # follows the collector's timing
+    rng = random.Random(7)
+    workspaces = [load_workspace(WORKSPACE), _corpus_workspace(rng, 3), _corpus_workspace(rng, 5)]
+    indiscrete = Partition.indiscrete(3)
+    calls = [(f"{claim} on {ws.space.size} points", run_report, (ws, claim))
+             for ws in workspaces for claim in CLAIMS]
+    calls += [
+        ("enumerate_Bn", enumerate_Bn, (3, 3)),
+        ("v_psi_ball", v_psi_ball, (PsiAssignment(indiscrete), 3, 4)),
+        ("abelian_membership_search", abelian_membership_search,
+         (AbelianWord(((0, 2), (1, -1), (2, -1)), 3), indiscrete)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for name, fn, args in calls:
+            fn(*args)
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
+
+
+def test_l_eps_row_fails_on_a_wrong_kernel(monkeypatch):
+    ws = load_workspace(WORKSPACE)
+    assert run_report(ws, "l_eps")["l_eps"]["passed"]
+    # the quotient onto one block: its kernel is all of the even words,
+    # larger than the closure at every finer level of the ball chain
+    monkeypatch.setattr(
+        report, "_image", lambda w, eps: freegroup._image(w, Partition.indiscrete(eps.ground))
+    )
+    row = run_report(ws, "l_eps")["l_eps"]
+    assert not row["passed"]
+    assert row["detail"].startswith("kernel mismatch at partition")
