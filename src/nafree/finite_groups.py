@@ -44,6 +44,8 @@ class FiniteGroupTable:
     mul: tuple[tuple[int, ...], ...]
     identity: int = field(init=False)
     inv: tuple[int, ...] = field(init=False)
+    # by left-nested products these reach every element (see _generators)
+    generators: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.mul)
@@ -68,7 +70,8 @@ class FiniteGroupTable:
         # Light's test: the elements g with (a*b)*g == a*(b*g) for all a, b
         # are closed under products, so checking g over a set that generates
         # the table by left-nested products covers every triple
-        for c in _generators(table, ident):
+        gens = tuple(_generators(table, ident))
+        for c in gens:
             col = [row[c] for row in table]  # b -> b*c
             for a, row in enumerate(table):
                 # (a*b)*c against a*(b*c) for every b at once
@@ -77,6 +80,7 @@ class FiniteGroupTable:
                     raise InputError(f"associativity fails at ({a},{b},{c})")
         object.__setattr__(self, "identity", ident)
         object.__setattr__(self, "inv", tuple(inv))
+        object.__setattr__(self, "generators", gens)
 
     @property
     def order(self) -> int:
@@ -240,16 +244,28 @@ class IsometricAction:
             raise InputError("action table shape mismatch")
         if tbl[g.identity] != tuple(range(n)):
             raise InputError("identity does not act trivially")
-        for a in range(g.order):
-            for x, y in itertools.combinations(range(n), 2):
-                if sp.d(tbl[a][x], tbl[a][y]) != sp.d(x, y):
+        # The checks run over the group's generators c only.  The elements c
+        # with g.(c.x) == (g*c).x for every g are closed under products, so
+        # they cover the group; then every element acts as a product of
+        # generators, and isometries compose.  The first element that is not
+        # an isometry is then a generator, the one the full scan would name.
+        rank = sp.rank
+        for a in g.generators:
+            perm = tbl[a]
+            for x in range(n):
+                row = rank[perm[x]]
+                if tuple(map(row.__getitem__, perm)) != rank[x]:
+                    # rows before x match, so by symmetry the first moved y exceeds x
+                    y = next(y for y in range(n) if row[perm[y]] != rank[x][y])
                     raise PreconditionError(
                         f"element {a} is not an isometry: moves pair ({x},{y})"
                     )
-        for a, b in itertools.product(range(g.order), repeat=2):
-            for x in range(n):
-                if tbl[g.op(a, b)][x] != tbl[a][tbl[b][x]]:
-                    raise InputError(f"action inconsistent with group table at ({a},{b},{x})")
+        for c in g.generators:
+            col = tbl[c]
+            for a, row in enumerate(tbl):
+                if tbl[g.op(a, c)] != tuple(map(row.__getitem__, col)):
+                    x = next(x for x in range(n) if tbl[g.op(a, c)][x] != row[col[x]])
+                    raise InputError(f"action inconsistent with group table at ({a},{c},{x})")
 
     def apply(self, g: int, x: int) -> int:
         return self.table[g][x]

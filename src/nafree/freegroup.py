@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from .abelian import AbelianWord
 from .boolean import BooleanWord
 from .errors import CapExceeded, InputError, PreconditionError
-from .spaces import Matrix, Partition, validate_ultrametric
+from .spaces import Matrix, Partition, _as_matrix, validate_ultrametric
 
 Letter = tuple[int, int]
 
@@ -118,14 +118,15 @@ class PsiAssignment:
         return self.default
 
 
-def _raw_words(alphabet: int, max_len: int) -> list[tuple[Letter, ...]]:
-    """All freely reduced letter tuples of length <= max_len, breadth first."""
+def _raw_words(points: Sequence[int], max_len: int) -> list[tuple[Letter, ...]]:
+    """All freely reduced letter tuples over `points` of length <= max_len,
+    breadth first."""
     out: list[tuple[Letter, ...]] = [()]
     frontier: list[tuple[Letter, ...]] = [()]
     for _ in range(max_len):
         nxt = []
         for w in frontier:
-            for p in range(alphabet):
+            for p in points:
                 for s in (1, -1):
                     if w and w[-1] == (p, -s):
                         continue
@@ -136,9 +137,10 @@ def _raw_words(alphabet: int, max_len: int) -> list[tuple[Letter, ...]]:
 
 
 def _constant_closure(
-    eps: Partition, alphabet: int, length_cap: int
+    eps: Partition, points: Sequence[int], length_cap: int
 ) -> frozenset[tuple[Letter, ...]]:
-    """Exact ball of the subgroup generated by conjugated eps-generators.
+    """Exact ball of the subgroup generated by conjugated eps-generators, in
+    the free group over `points`.
 
     A reduced word lies in the closure iff deleting some adjacent pair
     x^s y^-s with x, y eps-equivalent (each deletion is right multiplication
@@ -149,7 +151,7 @@ def _constant_closure(
     pass decides every word from words already decided.
     """
     closed: set[tuple[Letter, ...]] = {()}
-    for w in _raw_words(alphabet, length_cap):
+    for w in _raw_words(points, length_cap):
         for i in range(len(w) - 1):
             (x, s), (y, t) = w[i], w[i + 1]
             if t == -s and eps.same_block(x, y) and _reduce(w[:i] + w[i + 2 :]) in closed:
@@ -171,11 +173,11 @@ def v_psi_ball(
     if length_cap > max_cap:
         raise CapExceeded(f"length cap {length_cap} exceeds maximum {max_cap}")
     if not psi.overrides:
-        raw = _constant_closure(psi.default, alphabet, length_cap)
+        raw = _constant_closure(psi.default, range(alphabet), length_cap)
         return frozenset(FreeWord(w, alphabet) for w in raw)
     internal = length_cap + CLOSURE_SLACK
     gens: set[tuple[Letter, ...]] = set()
-    for w in _raw_words(alphabet, length_cap // 2 + 1):
+    for w in _raw_words(range(alphabet), length_cap // 2 + 1):
         part = psi.at(FreeWord(w, alphabet))
         winv = tuple((p, -s) for p, s in reversed(w))
         for block in part.blocks:
@@ -208,9 +210,7 @@ class SymmetrizedSpace:
     dist: Matrix
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "dist", tuple(tuple(Fraction(v) for v in row) for row in self.dist)
-        )
+        object.__setattr__(self, "dist", _as_matrix(self.dist))
         if len(self.dist) != 2 * self.n + 1:
             raise InputError("matrix must cover X, the inverses and e")
 

@@ -2,8 +2,8 @@
 
 These deliberately avoid the decision procedures they certify: the Boolean
 oracle closes the generator set under addition, the abelian oracle searches
-bounded integer combinations, and the strong-triangle oracle scans every
-triple of points.
+bounded integer combinations, the strong-triangle oracle scans every triple
+of points, and the ball oracle compares exact distances pair by pair.
 """
 from __future__ import annotations
 
@@ -23,6 +23,18 @@ def strong_triangle_scan(m: Matrix) -> Optional[tuple[int, int, int]]:
         if m[i][k] > max(m[i][j], m[j][k]):
             return i, j, k
     return None
+
+
+def ball_partition_scan(m: Matrix, r, strict: bool = False) -> Partition:
+    """The balls {q : d(p,q) <= r} (d(p,q) < r if strict) of every point p,
+    each listed once: the definition that `spaces.ball_partition` and
+    `spaces.strict_ball_partition` decide on distance ranks."""
+    n = len(m)
+    balls = {
+        frozenset(q for q in range(n) if (m[p][q] < r if strict else m[p][q] <= r))
+        for p in range(n)
+    }
+    return Partition(tuple(balls), n)
 
 
 def boolean_membership_closure(u: BooleanWord, eps: Partition) -> bool:

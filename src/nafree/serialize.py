@@ -61,8 +61,21 @@ def parse_space(obj: dict, basepoint: Optional[str] = None) -> UltraMetricSpace:
         raise InputError("point names must be strings")
     if len(set(names)) != len(names):
         raise InputError("duplicate point names")
+    parsed: dict = {}
+
+    def entry(v) -> Fraction:
+        # each spelling is parsed once and its entries share one Fraction;
+        # only str and int spellings are kept, since true and 1.0 compare
+        # equal to 1 as keys but are not rationals
+        if type(v) is not str and type(v) is not int:
+            return parse_rational(v)
+        f = parsed.get(v)
+        if f is None:
+            f = parsed[v] = parse_rational(v)
+        return f
+
     rows = _array(obj["dist"], "dist")
-    dist = tuple(tuple(parse_rational(v) for v in _array(row, "a dist row")) for row in rows)
+    dist = tuple(tuple(map(entry, _array(row, "a dist row"))) for row in rows)
     if basepoint is None:
         basepoint = obj.get("basepoint")
     index = 0

@@ -1,11 +1,14 @@
 """Finite ultra-metric spaces, partitions and pseudometric combinators.
 
 Points are dense integers 0..n-1; display names live in a side table on the
-space.  All distances are exact `fractions.Fraction` values, so threshold
-comparisons and ties are decided exactly.
+space.  All distances are exact `fractions.Fraction` values.  A space also
+keeps the rank of each distance among its distinct values: balls, entourages
+and isometries depend only on the order of the distances, so validation, ball
+partitions and isometry checks compare small ints, and ties stay exact.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -13,6 +16,9 @@ from typing import Optional, Sequence
 from .errors import InputError, PreconditionError, Violation, shown
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Ranks = tuple[tuple[int, ...], ...]
+
+_ZERO = Fraction(0)
 
 
 def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -22,10 +28,47 @@ def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
     )
 
 
-def _strong_triangle_witness(m: Matrix) -> Optional[tuple[int, int, int]]:
+@dataclass(frozen=True)
+class RankedMatrix:
+    """A matrix of exact distances and its rank encoding.
+
+    `scale` holds the distinct entries in increasing order, with 0 first
+    even where no entry is 0, and `rank[i][j]` is the index of `dist[i][j]`
+    in it.  Ranks order the entries exactly as their values do.
+    """
+
+    dist: Matrix
+    scale: tuple[Fraction, ...]
+    rank: Ranks
+
+    def __len__(self) -> int:
+        return len(self.dist)
+
+
+def rank_matrix(rows: Sequence[Sequence]) -> RankedMatrix:
+    """`rows` as Fractions with their ranks; InputError for an entry that is
+    not a rational."""
+    try:
+        m = _as_matrix(rows)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed rational entry: {exc}") from exc
+    # a Fraction hashes and compares in Python, its lowest-terms pair in C;
+    # entries parsed from one spelling share one object, so dedupe those first
+    objs = {id(v): v for row in m for v in row}
+    pair = {i: (v.numerator, v.denominator) for i, v in objs.items()}
+    distinct = {(0, 1): _ZERO, **{pair[i]: v for i, v in objs.items()}}
+    scale = tuple(sorted(distinct.values()))
+    at = {(v.numerator, v.denominator): r for r, v in enumerate(scale)}
+    of = {i: at[p] for i, p in pair.items()}
+    rank = tuple(tuple(map(of.__getitem__, map(id, row))) for row in m)
+    return RankedMatrix(m, scale, rank)
+
+
+def _strong_triangle_witness(m) -> Optional[tuple[int, int, int]]:
     """A triple (i, j, k) with i < k and d(i,k) > max(d(i,j), d(j,k)), or
     None if there is none.  `m` is square and symmetric with zero diagonal;
-    other zero entries are allowed (ultra-pseudometrics).
+    other zero entries are allowed (ultra-pseudometrics).  Only the order of
+    the entries matters, so `m` may hold ranks.
 
     Such a matrix satisfies the strong triangle iff every entry equals the
     largest edge on the path between its points in a minimum spanning tree
@@ -67,36 +110,36 @@ class MetricViolation:
         return f"{self.kind} at {self.points}: {self.detail}"
 
 
-def validate_ultrametric(rows: Sequence[Sequence]) -> Optional[MetricViolation]:
+def validate_ultrametric(rows) -> Optional[MetricViolation]:
     """Check the three ultra-metric axioms; return the first violation or None.
 
+    `rows` is a matrix, or the RankedMatrix of one; the checks compare ranks.
     Structural problems (non-square matrix, negative or malformed entries)
     raise InputError instead of being reported as violations.
     """
-    try:
-        m = _as_matrix(rows)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed rational entry: {exc}") from exc
+    t = rows if isinstance(rows, RankedMatrix) else rank_matrix(rows)
+    m, rank = t.dist, t.rank
     n = len(m)
     for row in m:
         if len(row) != n:
             raise InputError("matrix is not square")
+    if t.scale[0] < 0:
+        i, j = next((i, j) for i in range(n) for j in range(n) if m[i][j] < 0)
+        raise InputError(f"negative entry at ({i},{j})")
     for i in range(n):
-        for j in range(n):
-            if m[i][j] < 0:
-                raise InputError(f"negative entry at ({i},{j})")
-    for i in range(n):
-        if m[i][i] != 0:
+        if rank[i][i]:  # rank 0 is the value 0
             return MetricViolation("diagonal", (i,), f"d({i},{i}) = {m[i][i]} != 0")
-    for i in range(n):
+    for i, (row, col) in enumerate(zip(rank, zip(*rank))):
+        if row == col and 0 not in row[i + 1 :]:
+            continue
         for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
+            if row[j] != col[j]:
                 return MetricViolation(
                     "symmetry", (i, j), f"d({i},{j}) = {m[i][j]} != {m[j][i]} = d({j},{i})"
                 )
-            if m[i][j] == 0:
+            if not row[j]:
                 return MetricViolation("positivity", (i, j), f"d({i},{j}) = 0 for {i} != {j}")
-    bad = _strong_triangle_witness(m)
+    bad = _strong_triangle_witness(rank)
     if bad is not None:
         i, j, k = bad
         bound = max(m[i][j], m[j][k])
@@ -110,23 +153,33 @@ def validate_ultrametric(rows: Sequence[Sequence]) -> Optional[MetricViolation]:
 
 @dataclass(frozen=True)
 class UltraMetricSpace:
-    """Finite point set with an exact ultra-metric distance matrix."""
+    """Finite point set with an exact ultra-metric distance matrix.
+
+    `dist` holds the values that answers and messages show; `scale` and
+    `rank` are its rank encoding (see RankedMatrix), built once, on which
+    validation, ball partitions and isometry checks decide.
+    """
 
     dist: Matrix
     names: tuple[str, ...] = ()
     basepoint: int = 0
+    scale: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    rank: Ranks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        table = rank_matrix(self.dist)
         if not self.names:
-            object.__setattr__(self, "names", tuple(str(i) for i in range(len(self.dist))))
-        object.__setattr__(self, "dist", _as_matrix(self.dist))
+            object.__setattr__(self, "names", tuple(str(i) for i in range(len(table))))
+        object.__setattr__(self, "dist", table.dist)
+        object.__setattr__(self, "scale", table.scale)
+        object.__setattr__(self, "rank", table.rank)
         if len(self.names) != len(self.dist):
             raise InputError("name table does not match matrix size")
         if "0" in self.names:
             raise InputError('point name "0" is reserved for the adjoined zero element')
         if not 0 <= self.basepoint < len(self.dist):
             raise InputError(f"basepoint {self.basepoint} out of range")
-        bad = validate_ultrametric(self.dist)
+        bad = validate_ultrametric(table)
         if bad is not None:
             raise Violation(f"not an ultra-metric: {bad}")
 
@@ -139,8 +192,7 @@ class UltraMetricSpace:
 
     def values(self) -> list[Fraction]:
         """Distinct nonzero distance values, ascending."""
-        vals = {self.dist[i][j] for i in range(self.size) for j in range(i + 1, self.size)}
-        return sorted(vals)
+        return list(self.scale[1:])
 
     def index(self, name: str) -> int:
         try:
@@ -274,11 +326,12 @@ class PartitionChain:
         return tuple(p for _, p in self.levels)
 
 
-def _ball_classes(dist: Matrix, points, r: Fraction, strict: bool = False) -> list[list[int]]:
-    """Classes of the relation d(p,q) <= r (d(p,q) < r if strict) on `points`,
-    in first-seen order.  The strong triangle makes the relation transitive,
-    so comparing with the first point of each class decides."""
-    inside = r.__gt__ if strict else r.__ge__
+def _ball_classes(dist, points, r) -> list[list[int]]:
+    """Classes of the relation d(p,q) <= r on `points`, in first-seen order;
+    `dist` may hold ranks and `r` a rank.  The strong triangle makes the
+    relation transitive, so comparing with the first point of each class
+    decides."""
+    inside = r.__ge__
     classes: list[list[int]] = []
     for p in points:
         row = dist[p]
@@ -291,32 +344,33 @@ def _ball_classes(dist: Matrix, points, r: Fraction, strict: bool = False) -> li
     return classes
 
 
-def ball_partition(space, r) -> Partition:
+def _rank_partition(space: UltraMetricSpace, t: int) -> Partition:
+    """Partition by the relation rank(p,q) <= t."""
+    blocks = _ball_classes(space.rank, range(space.size), t)
+    return Partition(tuple(frozenset(b) for b in blocks), space.size)
+
+
+def ball_partition(space: UltraMetricSpace, r) -> Partition:
     """Partition by the relation d(p,q) <= r; transitive by strong triangle."""
     r = Fraction(r)
     if r < 0:
         raise PreconditionError(f"negative radius {r}")
-    blocks = _ball_classes(space.dist, range(space.size), r)
-    return Partition(tuple(frozenset(b) for b in blocks), space.size)
+    return _rank_partition(space, bisect_right(space.scale, r) - 1)
 
 
-def strict_ball_partition(space, r) -> Partition:
+def strict_ball_partition(space: UltraMetricSpace, r) -> Partition:
     """Partition by the relation d(p,q) < r (also transitive)."""
     r = Fraction(r)
     if r <= 0:
         raise PreconditionError(f"radius must be positive, got {r}")
-    blocks = _ball_classes(space.dist, range(space.size), r, strict=True)
-    return Partition(tuple(frozenset(b) for b in blocks), space.size)
+    return _rank_partition(space, bisect_left(space.scale, r) - 1)
 
 
 def ball_chain(space: UltraMetricSpace) -> PartitionChain:
     """The full chain of ball partitions, one level per distance value plus
     a discrete level at threshold 0."""
-    levels = []
-    for v in sorted(space.values(), reverse=True):
-        levels.append((v, ball_partition(space, v)))
-    levels.append((Fraction(0), Partition.discrete(space.size)))
-    return PartitionChain(tuple(levels))
+    ranks = range(len(space.scale) - 1, -1, -1)
+    return PartitionChain(tuple((space.scale[t], _rank_partition(space, t)) for t in ranks))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Acceptance suite: the thirteen package-level criteria.
+"""Acceptance suite: the fourteen package-level criteria.
 
 Each test prints a single summary line on success; a failure shows up as a
 plain pytest assertion.  The whole module is budgeted to finish well under
@@ -42,8 +42,24 @@ from nafree.freegroup import (
     graev_delta_bruteforce,
     v_psi_ball,
 )
-from nafree.oracles import abelian_membership_search, boolean_membership_closure, strong_triangle_scan
-from nafree.spaces import Partition, ball_chain, combine_pseudometrics, extend_with_zero, validate_ultrametric
+from nafree.oracles import (
+    abelian_membership_search,
+    ball_partition_scan,
+    boolean_membership_closure,
+    strong_triangle_scan,
+)
+from nafree.spaces import (
+    MetricViolation,
+    Partition,
+    UltraMetricSpace,
+    _strong_triangle_witness,
+    ball_chain,
+    ball_partition,
+    combine_pseudometrics,
+    extend_with_zero,
+    strict_ball_partition,
+    validate_ultrametric,
+)
 
 WORKSPACE = str(resources.files("nafree") / "data" / "workspace.json")
 
@@ -440,13 +456,18 @@ def _random_symmetric(rng, n, values):
     return tuple(tuple(r) for r in rows)
 
 
-def test_acceptance_13_strong_triangle_oracle():
-    rng = random.Random(13)
+def _acceptance_13_matrices(rng):
     ties = tuple(Fraction(v) for v in (1, 2, 3))
     mats = [_random_symmetric(rng, rng.randint(1, 8), ties) for _ in range(3000)]
     for space in corpus(1313, 100):
         mats.append(space.dist)
         mats += [extend_with_zero(space, x0).dist for x0 in range(space.size)]
+    return mats
+
+
+def test_acceptance_13_strong_triangle_oracle():
+    rng = random.Random(13)
+    mats = _acceptance_13_matrices(rng)
     violators = 0
     for m in mats:
         bad = validate_ultrametric(m)
@@ -473,4 +494,104 @@ def test_acceptance_13_strong_triangle_oracle():
         13,
         f"{len(mats)} matrices, {violators} violators with genuine witnesses; "
         f"1000 pseudometrics, {rejected} rejected",
+    )
+
+
+# --- 14. decisions on distance ranks equal the exact-value definitions -----
+
+
+def _validate_on_fractions(rows):
+    """The axioms checked on the Fraction entries themselves, in the order
+    and words of `validate_ultrametric`: the reference for its rank checks."""
+    m = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    n = len(m)
+    for row in m:
+        if len(row) != n:
+            raise InputError("matrix is not square")
+    for i in range(n):
+        for j in range(n):
+            if m[i][j] < 0:
+                raise InputError(f"negative entry at ({i},{j})")
+    for i in range(n):
+        if m[i][i] != 0:
+            return MetricViolation("diagonal", (i,), f"d({i},{i}) = {m[i][i]} != 0")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m[i][j] != m[j][i]:
+                return MetricViolation(
+                    "symmetry", (i, j), f"d({i},{j}) = {m[i][j]} != {m[j][i]} = d({j},{i})"
+                )
+            if m[i][j] == 0:
+                return MetricViolation("positivity", (i, j), f"d({i},{j}) = 0 for {i} != {j}")
+    bad = _strong_triangle_witness(m)
+    if bad is not None:
+        i, j, k = bad
+        bound = max(m[i][j], m[j][k])
+        return MetricViolation(
+            "strong_triangle", bad, f"d({i},{k}) = {m[i][k]} > max(d({i},{j}), d({j},{k})) = {bound}"
+        )
+    return None
+
+
+def _verdict(check, m):
+    try:
+        return check(m)
+    except InputError as exc:
+        return f"input error: {exc}"
+
+
+def _broken(rng, m):
+    """`m` with one entry made negative, asymmetric, zero off the diagonal,
+    or nonzero on it."""
+    rows = [list(row) for row in m]
+    n = len(rows)
+    i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    kind = rng.choice(("negative", "asymmetric", "zero", "diagonal"))
+    if kind == "negative":
+        rows[i][j] = rows[j][i] = Fraction(-rng.randint(1, 3), 2)
+    elif kind == "asymmetric":
+        rows[i][j] += Fraction(rng.choice((-1, 1)), 2)
+    elif kind == "zero":
+        rows[i][j] = rows[j][i] = Fraction(0)
+    else:
+        rows[i][i] = Fraction(rng.randint(1, 3))
+    return rows
+
+
+def test_acceptance_14_rank_path():
+    """Validation, ball partitions, ball chains and the value list, decided
+    on distance ranks, equal their definitions on exact values."""
+    rng = random.Random(14)
+    mats = _acceptance_13_matrices(random.Random(13))
+    mats += [_broken(rng, m) for m in rng.sample(mats, 1500)]
+    kinds = set()
+    for m in mats:
+        want = _verdict(_validate_on_fractions, m)
+        assert _verdict(validate_ultrametric, m) == want, m
+        kinds.add(want.kind if isinstance(want, MetricViolation) else want and want[:20])
+    assert kinds == {"diagonal", "symmetry", "positivity", "strong_triangle", None,
+                     "input error: negativ"}
+    spaces = corpus(1414, 150)
+    spaces += [
+        UltraMetricSpace(extend_with_zero(sp, x0).dist, sp.names + ("z",))
+        for sp in spaces[:60]
+        for x0 in range(sp.size)
+    ]
+    radii_checked = 0
+    for sp in spaces:
+        n = sp.size
+        vals = sorted({sp.d(p, q) for p in range(n) for q in range(n) if p != q})
+        assert sp.values() == vals
+        grid = [Fraction(0)] + vals
+        mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+        for r in grid + mids + [grid[-1] + 1]:
+            assert ball_partition(sp, r) == ball_partition_scan(sp.dist, r)
+            if r > 0:
+                assert strict_ball_partition(sp, r) == ball_partition_scan(sp.dist, r, strict=True)
+            radii_checked += 1
+        assert ball_chain(sp).levels == tuple((v, ball_partition_scan(sp.dist, v)) for v in reversed(grid))
+    _announce(
+        14,
+        f"{len(mats)} matrices validated alike; {len(spaces)} spaces, "
+        f"{radii_checked} radii, ball chains and value lists equal the pairwise scan",
     )

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, evidence output and determinism."""
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -7,6 +8,7 @@ from click.testing import CliRunner
 
 import nafree.spaces
 from nafree.cli import main
+from nafree.finite_groups import IsometricAction
 from nafree.serialize import load_workspace
 
 WORKSPACE = str(resources.files("nafree") / "data" / "workspace.json")
@@ -334,3 +336,43 @@ def test_echoed_workspace_value_is_bounded(runner, tmp_path, kind, command):
 def test_short_echoed_input_is_shown_whole(runner):
     res = invoke(runner, ["norm", WORKSPACE, '[["x", 1, {"k": null}]]'])
     assert res.stderr == "input error: unknown point name ['x', 1, {'k': None}]\n"
+
+
+# --- one parse per spelling, no coercion -----------------------------------
+
+ONES = {"space": {"points": ["p", "q", "r"], "dist": [[0, 1, "1"], [1, 0, "2/2"], ["1", "2/2", 0]]}}
+
+
+@pytest.mark.parametrize("bad, shown_as", [(True, "True"), (1.0, "1.0")])
+def test_equal_spellings_are_one_value_but_true_and_floats_are_not(runner, tmp_path, bad, shown_as):
+    # 1, "1" and "2/2" are one distance; true and 1.0 are refused even after
+    # the spelling 1 has been parsed, where a lookup by value would hit it
+    f = write(tmp_path, ONES)
+    res = invoke(runner, ["validate", f])
+    assert res.stdout == "space: 3 points, ok\nchain balls: 2 levels, ok\nok\n"
+    obj = json.loads(json.dumps(ONES))
+    obj["space"]["dist"][1][0] = bad
+    f = write(tmp_path, obj)
+    for command in COMMANDS:
+        res = invoke(runner, argv_for(command, f))
+        assert_input_error(res)
+        assert res.stderr == f"input error: not a rational: {shown_as}\n"
+
+
+def test_symmetric_group_workspace_loads_quickly(runner, tmp_path):
+    # a transposition and a 6-cycle generate S_6; the action is checked on
+    # the two generators, not on 720^2 pairs of elements
+    names = [f"x{i}" for i in range(6)]
+    dist = [[int(i != j) for j in range(6)] for i in range(6)]
+    perms = [names[1::-1] + names[2:], names[1:] + names[:1]]
+    f = write(tmp_path, {"space": {"points": names, "dist": dist},
+                         "actions": {"s6": {"perms": perms}}})
+    start = time.perf_counter()
+    ws = load_workspace(f)
+    assert time.perf_counter() - start < 2
+    act = ws.actions["s6"]
+    start = time.perf_counter()
+    IsometricAction(act.group, act.space, act.table)
+    assert time.perf_counter() - start < 0.1
+    res = invoke(runner, ["validate", f])
+    assert res.exit_code == 0 and "action s6: group of order 720, isometric, ok" in res.stdout

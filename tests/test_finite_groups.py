@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_space, split_space
+from corpus import random_ultrametric
 from nafree.errors import InputError, PreconditionError
 from nafree.finite_groups import (
     FiniteGroupTable,
@@ -215,3 +216,79 @@ def test_metric_from_seminorm_invariance_and_restriction():
         assert out.dist[e][x] == p.value[x]
     for a, x, y in itertools.product(range(g.order), repeat=3):
         assert out.dist[g.op(a, x)][g.op(a, y)] == out.dist[x][y]
+
+
+def test_action_consistency_is_checked_at_every_generator():
+    # Z2 x Z2 = {e, a, b, ab} picks generators a and b; acting by two
+    # transpositions that do not commute, with ab acting as b after a, agrees
+    # with the table for products by a but not for products by b
+    sp = make_space([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    g = FiniteGroupTable.boolean_power(2)
+    assert g.generators == (1, 2)
+    swap01, swap12 = (1, 0, 2), (0, 2, 1)
+    ab = tuple(swap12[swap01[x]] for x in range(3))
+    with pytest.raises(InputError, match=r"inconsistent with group table at \(\d+,2,\d+\)"):
+        IsometricAction(g, sp, ((0, 1, 2), swap01, swap12, ab))
+
+
+def _action_faults(group, space, tbl):
+    """The first non-isometric element and the first inconsistent triple, by
+    the definitions over every element, pair and point: the reference for
+    the generator checks of IsometricAction."""
+    n = space.size
+    iso = next((f"element {a} is not an isometry: moves pair ({x},{y})"
+                for a in range(group.order) for x, y in itertools.combinations(range(n), 2)
+                if space.d(tbl[a][x], tbl[a][y]) != space.d(x, y)), None)
+    con = next((f"action inconsistent with group table at ({a},{b},{x})"
+                for a, b in itertools.product(range(group.order), repeat=2) for x in range(n)
+                if tbl[group.op(a, b)][x] != tbl[a][tbl[b][x]]), None)
+    return iso, con
+
+
+def _genuine_action_fault(group, space, tbl, message):
+    found = re.fullmatch(r"element (\d+) is not an isometry: moves pair \((\d+),(\d+)\)", message)
+    if found:
+        a, x, y = map(int, found.groups())
+        return x < y and space.d(tbl[a][x], tbl[a][y]) != space.d(x, y)
+    found = re.fullmatch(r"action inconsistent with group table at \((\d+),(\d+),(\d+)\)", message)
+    a, b, x = map(int, found.groups())
+    return tbl[group.op(a, b)][x] != tbl[a][tbl[b][x]]
+
+
+def test_action_checks_match_the_full_scan():
+    # groups generated by isometries (or, two times in five, by any
+    # permutation) of corpus spaces, with two element rows swapped or one row
+    # composed with a transposition: rejected exactly when the full scan
+    # finds a fault, and with its message whenever the table is consistent
+    rng = random.Random(6)
+    seen = {"accepted": 0, "consistent, not an isometry": 0, "inconsistent": 0}
+    for _ in range(400):
+        space = random_ultrametric(rng, rng.randint(2, 5))
+        n = space.size
+        perms = list(itertools.permutations(range(n)))
+        isometries = [p for p in perms
+                      if all(space.d(p[x], p[y]) == space.d(x, y) for x in range(n) for y in range(n))]
+        pool = perms if rng.random() < 0.4 else isometries
+        group, elems = FiniteGroupTable.from_permutations(rng.sample(pool, min(2, len(pool))))
+        tbl = [list(e) for e in elems]
+        if group.order > 1 and rng.random() < 0.5:
+            a, b = rng.randrange(1, group.order), rng.randrange(1, group.order)
+            if rng.random() < 0.5:
+                tbl[a], tbl[b] = tbl[b], tbl[a]
+            else:
+                x, y = rng.sample(range(n), 2)
+                tbl[a][x], tbl[a][y] = tbl[a][y], tbl[a][x]
+        tbl = tuple(map(tuple, tbl))
+        iso, con = _action_faults(group, space, tbl)
+        try:
+            IsometricAction(group, space, tbl)
+        except (InputError, PreconditionError) as exc:
+            assert iso or con
+            assert _genuine_action_fault(group, space, tbl, str(exc))
+            if con is None:
+                assert str(exc) == iso
+            seen["inconsistent" if con else "consistent, not an isometry"] += 1
+        else:
+            assert iso is None and con is None
+            seen["accepted"] += 1
+    assert min(seen.values()) > 40, seen

@@ -1,8 +1,12 @@
 """The `report` property suite: what its rows compare, and that the suite
 and the enumerators it uses leave no cyclic garbage behind."""
 import gc
+import json
 import random
+import re
 from importlib import resources
+
+from click.testing import CliRunner
 
 from corpus import random_ultrametric
 from nafree import freegroup, report
@@ -10,7 +14,8 @@ from nafree.abelian import AbelianWord, enumerate_Bn
 from nafree.freegroup import PsiAssignment, v_psi_ball
 from nafree.oracles import abelian_membership_search
 from nafree.report import CLAIMS, run_report
-from nafree.serialize import Workspace, load_workspace
+from nafree.cli import main
+from nafree.serialize import Workspace, format_rational, load_workspace
 from nafree.spaces import Partition, ball_chain, extend_with_zero
 
 WORKSPACE = str(resources.files("nafree") / "data" / "workspace.json")
@@ -57,3 +62,29 @@ def test_l_eps_row_fails_on_a_wrong_kernel(monkeypatch):
     row = run_report(ws, "l_eps")["l_eps"]
     assert not row["passed"]
     assert row["detail"].startswith("kernel mismatch at partition")
+
+
+def test_report_on_24_points_ends_with_a_verdict(tmp_path):
+    # l_eps checks each level on at most six points, so all 24 points no
+    # longer mean (2 * 24)^4 words per level; up to six points it uses all
+    bundled = run_report(load_workspace(WORKSPACE), "l_eps")["l_eps"]
+    assert bundled == {"passed": True, "detail": "9603 word/partition checks at cap 4"}
+    six = _corpus_workspace(random.Random(6), 6)
+    count = len(six.chains["balls"]) * len(freegroup._raw_words(range(6), 4))
+    assert run_report(six, "l_eps")["l_eps"]["detail"] == f"{count} word/partition checks at cap 4"
+    space = random_ultrametric(random.Random(24), 24)
+    dist = [[format_rational(v) for v in row] for row in space.dist]
+    path = tmp_path / "ws24.json"
+    path.write_text(json.dumps({"space": {"points": list(space.names), "dist": dist}}))
+    res = CliRunner().invoke(main, ["report", str(path), "--json"])
+    assert res.exit_code == 0, res.output
+    rows = json.loads(res.stdout)
+    assert sorted(rows) == sorted(CLAIMS) and all(row["passed"] for row in rows.values())
+    found = re.fullmatch(r"\d+ word/partition checks at cap 4 on points per level: (.*)",
+                         rows["l_eps"]["detail"])
+    chain = ball_chain(space)
+    levels = found.group(1).split("; ")
+    assert len(levels) == len(chain)
+    for names, part in zip(levels, chain.partitions):
+        points = [space.index(name) for name in names.split()]
+        assert 2 <= len(points) <= 6 and len({part.block_index(p) for p in points}) <= 3
