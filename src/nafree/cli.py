@@ -31,8 +31,16 @@ EXIT_MATH_FAIL = 1
 EXIT_INPUT = 2
 
 
+def _echo(message: str, nl: bool = True, err: bool = False) -> None:
+    """`click.echo` to the current stdout or stderr, looked up on each call.
+    click's own lookup caches each stream in a weak-keyed dict whose value
+    holds the key, so every in-process invocation would leave its streams
+    alive."""
+    click.echo(message, file=click.get_text_stream("stderr" if err else "stdout"), nl=nl)
+
+
 def _input_error(message: str) -> NoReturn:
-    click.echo(f"input error: {message}", err=True)
+    _echo(f"input error: {message}", err=True)
     sys.exit(EXIT_INPUT)
 
 
@@ -59,16 +67,16 @@ def validate(file):
     try:
         ws = load_workspace(file)
     except Violation as exc:
-        click.echo(f"violation: {exc}")
+        _echo(f"violation: {exc}")
         sys.exit(EXIT_MATH_FAIL)
     except InputError as exc:
         _input_error(str(exc))
-    click.echo(f"space: {ws.space.size} points, ok")
+    _echo(f"space: {ws.space.size} points, ok")
     for name, chain in ws.chains.items():
-        click.echo(f"chain {name}: {len(chain)} levels, ok")
+        _echo(f"chain {name}: {len(chain)} levels, ok")
     for name, act in ws.actions.items():
-        click.echo(f"action {name}: group of order {act.group.order}, isometric, ok")
-    click.echo("ok")
+        _echo(f"action {name}: group of order {act.group.order}, isometric, ok")
+    _echo("ok")
 
 
 @main.command()
@@ -98,13 +106,13 @@ def norm(file, word, check, cap, basepoint, as_json):
     else:
         agree = True
     if as_json:
-        click.echo(dump_json(payload), nl=False)
+        _echo(dump_json(payload), nl=False)
     else:
-        click.echo(f"word: {json.loads(word)}")
-        click.echo(f"norm: {payload['value']}  (algorithm: {payload['algorithm']})")
-        click.echo(f"witness pairing: {payload['witness']}")
+        _echo(f"word: {json.loads(word)}")
+        _echo(f"norm: {payload['value']}  (algorithm: {payload['algorithm']})")
+        _echo(f"witness pairing: {payload['witness']}")
         if check:
-            click.echo(f"oracle: {payload['oracle']}")
+            _echo(f"oracle: {payload['oracle']}")
     if not agree:
         sys.exit(EXIT_MATH_FAIL)
 
@@ -153,11 +161,11 @@ def member(file, word, group, chain, level, as_json):
     blocks = [sorted(ws.space.names[p] for p in b) for b in part.blocks]
     payload = {"member": verdict, "blocks": blocks, **evidence}
     if as_json:
-        click.echo(dump_json(payload), nl=False)
+        _echo(dump_json(payload), nl=False)
     else:
-        click.echo(f"blocks: {blocks}")
-        click.echo(f"evidence: {evidence}")
-        click.echo("member" if verdict else "not a member")
+        _echo(f"blocks: {blocks}")
+        _echo(f"evidence: {evidence}")
+        _echo("member" if verdict else "not a member")
     if not verdict:
         sys.exit(EXIT_MATH_FAIL)
 
@@ -174,12 +182,12 @@ def report(file, only, as_json):
     except NafreeError as exc:
         _input_error(str(exc))
     if as_json:
-        click.echo(dump_json(rows), nl=False)
+        _echo(dump_json(rows), nl=False)
     else:
         width = max(len(c) for c in rows)
         for claim, row in rows.items():
             status = "pass" if row["passed"] else "FAIL"
-            click.echo(f"{claim:<{width}}  {status}  {row['detail']}")
+            _echo(f"{claim:<{width}}  {status}  {row['detail']}")
     if not all(row["passed"] for row in rows.values()):
         sys.exit(EXIT_MATH_FAIL)
 

@@ -6,14 +6,14 @@ Letters are (point id, sign) with sign +-1; words are kept freely reduced.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .abelian import AbelianWord
 from .boolean import BooleanWord
 from .errors import CapExceeded, InputError, PreconditionError
-from .spaces import Matrix, Partition, _as_matrix, validate_ultrametric
+from .spaces import Matrix, Partition, RankedMatrix, Ranks, rank_matrix, validate_ultrametric
 
 Letter = tuple[int, int]
 
@@ -40,8 +40,14 @@ class FreeWord:
     alphabet: int
 
     def __post_init__(self):
-        red = _reduce(tuple((int(p), int(s)) for p, s in self.letters))
-        object.__setattr__(self, "letters", red)
+        red: list[Letter] = []
+        for p, s in self.letters:
+            p, s = int(p), int(s)
+            if red and red[-1] == (p, -s):
+                red.pop()
+            else:
+                red.append((p, s))
+        object.__setattr__(self, "letters", tuple(red))
         for p, s in red:
             if not 0 <= p < self.alphabet:
                 raise InputError(f"letter {p} outside 0..{self.alphabet - 1}")
@@ -204,13 +210,21 @@ class SymmetrizedSpace:
     """An ultra-metric on X union X^-1 union {e} for the Graev construction.
 
     Indexing: 0..n-1 are the base letters, n..2n-1 their inverses, 2n is e.
+    `scale` and `rank` are the rank encoding of `dist` (see RankedMatrix),
+    on which the Graev check and delta decide.
     """
 
     n: int
     dist: Matrix
+    scale: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    rank: Ranks = field(init=False, repr=False, compare=False)
+    _grau: Optional[GrauCheck] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dist", _as_matrix(self.dist))
+        table = rank_matrix(self.dist)
+        object.__setattr__(self, "dist", table.dist)
+        object.__setattr__(self, "scale", table.scale)
+        object.__setattr__(self, "rank", table.rank)
         if len(self.dist) != 2 * self.n + 1:
             raise InputError("matrix must cover X, the inverses and e")
 
@@ -240,23 +254,31 @@ class GrauCheck:
 
 def check_grau_conditions(dbar: SymmetrizedSpace) -> GrauCheck:
     """Verify the inversion-compatibility identities plus ultra-metric
-    validity; flag the stronger max-pattern when it holds."""
-    bad = validate_ultrametric(dbar.dist)
+    validity; flag the stronger max-pattern when it holds.  Decided once per
+    space and kept on it."""
+    if dbar._grau is None:
+        object.__setattr__(dbar, "_grau", _grau_conditions(dbar))
+    return dbar._grau
+
+
+def _grau_conditions(dbar: SymmetrizedSpace) -> GrauCheck:
+    bad = validate_ultrametric(RankedMatrix(dbar.dist, dbar.scale, dbar.rank))
     if bad is not None:
         return GrauCheck(False, f"not an ultra-metric: {bad}", False)
-    half = list(range(dbar.n)) + [dbar.e]
+    rank, inv, e = dbar.rank, dbar.inv_index, dbar.e
+    half = list(range(dbar.n)) + [e]
     for i, j in itertools.product(half, repeat=2):
-        ii, ji = dbar.inv_index(i), dbar.inv_index(j)
-        if dbar.d(ii, ji) != dbar.d(i, j):
+        ii, ji = inv(i), inv(j)
+        if rank[ii][ji] != rank[i][j]:
             return GrauCheck(
                 False, f"d(inv {i}, inv {j}) = {dbar.d(ii, ji)} != d({i},{j}) = {dbar.d(i, j)}", False
             )
-        if dbar.d(ii, j) != dbar.d(i, ji):
+        if rank[ii][j] != rank[i][ji]:
             return GrauCheck(
                 False, f"d(inv {i}, {j}) = {dbar.d(ii, j)} != d({i}, inv {j}) = {dbar.d(i, ji)}", False
             )
     strong = all(
-        dbar.d(dbar.inv_index(i), j) == max(dbar.d(i, dbar.e), dbar.d(j, dbar.e))
+        rank[inv(i)][j] == max(rank[i][e], rank[j][e])
         for i, j in itertools.product(range(dbar.n), repeat=2)
     )
     return GrauCheck(True, None, strong)
@@ -317,22 +339,21 @@ def _delta_word(
         for i in range(target):
             seq.append(dbar.e if i in positions else next(it))
         paddings.append(seq)
-    best: Optional[Fraction] = None
-    dist = dbar.dist
+    rank = dbar.rank
+    best = len(dbar.scale)  # above every rank until a trivial word is costed
     for t in _trivial_sequences(alphabet, target, dbar):
         for seq in paddings:
-            cost = Fraction(0)
+            cost = 0
             for i in range(target):
-                v = dist[seq[i]][t[i]]
+                v = rank[seq[i]][t[i]]
                 if v > cost:
                     cost = v
-                    if best is not None and cost >= best:
+                    if cost >= best:
                         break
             else:
-                if best is None or cost < best:
+                if cost < best:
                     best = cost
-    assert best is not None
-    return best
+    return dbar.scale[best]
 
 
 def word_alphabet(w: FreeWord, dbar: SymmetrizedSpace, extra: Sequence[int] = ()) -> tuple[int, ...]:

@@ -169,7 +169,7 @@ class UltraMetricSpace:
     def __post_init__(self):
         table = rank_matrix(self.dist)
         if not self.names:
-            object.__setattr__(self, "names", tuple(str(i) for i in range(len(table))))
+            object.__setattr__(self, "names", tuple(f"x{i}" for i in range(len(table))))
         object.__setattr__(self, "dist", table.dist)
         object.__setattr__(self, "scale", table.scale)
         object.__setattr__(self, "rank", table.rank)

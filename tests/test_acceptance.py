@@ -1,4 +1,4 @@
-"""Acceptance suite: the fourteen package-level criteria.
+"""Acceptance suite: the fifteen package-level criteria.
 
 Each test prints a single summary line on success; a failure shows up as a
 plain pytest assertion.  The whole module is budgeted to finish well under
@@ -7,6 +7,7 @@ sixty seconds.
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -14,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import all_boolean_words, all_partitions, aug, make_space
-from corpus import corpus, random_ultrametric
+from corpus import VALUES, corpus, random_ultrametric
 from nafree.abelian import AbelianWord, ab_eps_membership, bn_avoidance_check, bn_interior_witness, enumerate_Bn, lh
 from nafree.boolean import (
     BooleanWord,
@@ -31,16 +32,20 @@ from nafree.cli import main
 from nafree.duality import Character, evaluation_delta, universal_extension
 from nafree.errors import InputError, PreconditionError
 from nafree.finite_groups import FiniteGroupTable, IsometricAction
+from nafree import freegroup
 from nafree.freegroup import (
     FreeWord,
+    GrauCheck,
     PsiAssignment,
     SymmetrizedSpace,
     check_grau_conditions,
     eps_tilde_membership,
     fg_invert,
     fg_multiply,
+    _trivial_sequences,
     graev_delta_bruteforce,
     v_psi_ball,
+    word_alphabet,
 )
 from nafree.oracles import (
     abelian_membership_search,
@@ -595,3 +600,172 @@ def test_acceptance_14_rank_path():
         f"{len(mats)} matrices validated alike; {len(spaces)} spaces, "
         f"{radii_checked} radii, ball chains and value lists equal the pairwise scan",
     )
+
+
+# --- 15. the Graev check and delta on ranks equal their Fraction loops -----
+
+
+def _grau_on_fractions(dbar):
+    """The Graev conditions checked on the Fraction entries, in the order and
+    words of `check_grau_conditions`: the reference for its rank checks."""
+    bad = _validate_on_fractions(dbar.dist)
+    if bad is not None:
+        return GrauCheck(False, f"not an ultra-metric: {bad}", False)
+    half = list(range(dbar.n)) + [dbar.e]
+    for i, j in itertools.product(half, repeat=2):
+        ii, ji = dbar.inv_index(i), dbar.inv_index(j)
+        if dbar.d(ii, ji) != dbar.d(i, j):
+            return GrauCheck(
+                False, f"d(inv {i}, inv {j}) = {dbar.d(ii, ji)} != d({i},{j}) = {dbar.d(i, j)}", False
+            )
+        if dbar.d(ii, j) != dbar.d(i, ji):
+            return GrauCheck(
+                False, f"d(inv {i}, {j}) = {dbar.d(ii, j)} != d({i}, inv {j}) = {dbar.d(i, ji)}", False
+            )
+    strong = all(
+        dbar.d(dbar.inv_index(i), j) == max(dbar.d(i, dbar.e), dbar.d(j, dbar.e))
+        for i, j in itertools.product(range(dbar.n), repeat=2)
+    )
+    return GrauCheck(True, None, strong)
+
+
+def _delta_on_fractions(letters, dbar, extra=()):
+    """delta(e, w) by the full enumeration of trivial words and paddings,
+    with the bottleneck kept as a Fraction: the reference for the ranks."""
+    w = FreeWord(letters, dbar.n)
+    if w.is_identity():
+        return Fraction(0)
+    m = len(w)
+    target = m + m % 2
+    widx = [dbar.letter_index(l) for l in w.letters]
+    paddings = []
+    for positions in itertools.combinations(range(target), target - m):
+        it = iter(widx)
+        paddings.append([dbar.e if i in positions else next(it) for i in range(target)])
+    best = None
+    for t in _trivial_sequences(word_alphabet(w, dbar, extra), target, dbar):
+        for seq in paddings:
+            cost = Fraction(0)
+            for i in range(target):
+                v = dbar.dist[seq[i]][t[i]]
+                if v > cost:
+                    cost = v
+                    if best is not None and cost >= best:
+                        break
+            else:
+                if best is None or cost < best:
+                    best = cost
+    return best
+
+
+def _symmetrized(space):
+    """X, X^-1 and e from a space: d(x^+-, y^+-) = d(x, y), e is the adjoined
+    zero, and d(x^-1, y) = max(d(x, e), d(y, e))."""
+    ext = extend_with_zero(space)
+    n, e = space.size, space.size
+    size = 2 * n + 1
+
+    def base(i):
+        return n if i == 2 * n else i % n
+
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for i, j in itertools.product(range(size), repeat=2):
+        if i != j:
+            if (i < n) == (j < n) or 2 * n in (i, j):
+                rows[i][j] = ext.d(base(i), base(j))
+            else:
+                rows[i][j] = max(ext.d(base(i), e), ext.d(base(j), e))
+    return rows
+
+
+def _perturbed(rng, rows, n):
+    """`rows` with one off-diagonal entry changed: alone or with its mirror,
+    and with or without its image under inversion."""
+    rows = [list(r) for r in rows]
+    size = len(rows)
+
+    def inv(i):
+        return i if i == 2 * n else (i + n) % (2 * n)
+
+    a, b = rng.sample(range(size), 2)
+    v = rng.choice(VALUES + (Fraction(3),))
+    kind = rng.choice(("one", "mirror", "inversion"))
+    rows[a][b] = v
+    if kind != "one":
+        rows[b][a] = v
+    if kind == "inversion":
+        rows[inv(a)][inv(b)] = rows[inv(b)][inv(a)] = v
+    return rows
+
+
+def test_acceptance_15_graev_rank_path():
+    """The Graev check and delta, decided on distance ranks, equal the
+    Fraction loops they replaced."""
+    rng = random.Random(15)
+    valid = [_dbar_discrete(1), _dbar_discrete(2), _dbar_two_scale()]
+    # the Fraction loop costs about 7 times as much at n = 3 as at n = 2
+    sizes = (2,) * 17 + (3,) * 3
+    valid += [SymmetrizedSpace(n, _symmetrized(random_ultrametric(rng, n))) for n in sizes]
+    perturbed = [
+        SymmetrizedSpace(d.n, _perturbed(rng, d.dist, d.n)) for d in valid for _ in range(25)
+    ]
+    # an ultra-metric in which d(x^-1, y) != d(x, y^-1)
+    rows = [list(r) for r in _dbar_discrete(2).dist]
+    rows[2][1] = rows[1][2] = Fraction(1, 2)
+    perturbed.append(SymmetrizedSpace(2, rows))
+    outcomes = set()
+    for dbar in valid + perturbed:
+        want = _grau_on_fractions(dbar)
+        assert check_grau_conditions(dbar) == want, dbar.dist
+        assert check_grau_conditions(dbar) is check_grau_conditions(dbar)
+        text = want.violation or ""
+        kind = re.sub(r"\d+", "#", text.split(" =")[0].split(" at ")[0])
+        outcomes.add((want.ok, want.strong_pattern, kind))
+    assert outcomes == {
+        (True, True, ""),
+        (True, False, ""),
+        (False, False, "d(inv #, #)"),
+        (False, False, "d(inv #, inv #)"),
+        (False, False, "not an ultra-metric: strong_triangle"),
+        (False, False, "not an ultra-metric: symmetry"),
+    }, outcomes
+    words = 0
+    for dbar in valid:
+        assert check_grau_conditions(dbar).ok
+        n, e = dbar.n, FreeWord((), dbar.n)
+        for letters in freegroup._raw_words(range(n), 4):
+            w = FreeWord(letters, n)
+            assert graev_delta_bruteforce(e, w, dbar) == _delta_on_fractions(letters, dbar)
+            words += 1
+            missing = [p for p in range(n) if all(q != p for q, _ in letters)]
+            if missing and len(letters) <= 3:
+                extra = (missing[0],)
+                assert (graev_delta_bruteforce(e, w, dbar, extra_letters=extra)
+                        == _delta_on_fractions(letters, dbar, extra))
+    _announce(
+        15,
+        f"{len(valid) + len(perturbed)} Graev checks alike ({len(outcomes)} kinds of outcome); "
+        f"delta alike on {words} words over {len(valid)} spaces",
+    )
+
+
+def test_acceptance_15_graev_check_runs_once_per_space(monkeypatch):
+    calls = []
+    original = freegroup.validate_ultrametric
+
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(freegroup, "validate_ultrametric", counted)
+    spaces = [_dbar_discrete(2), _dbar_two_scale()]
+    bad_rows = [[0, 1, 1], [1, 0, 2], [1, 2, 0]]  # d(x^-1, e) != d(x, e)
+    bad = SymmetrizedSpace(1, bad_rows)
+    for dbar in spaces:
+        words = [FreeWord(w, dbar.n) for w in freegroup._raw_words(range(dbar.n), 2)]
+        for u, v in itertools.product(words, repeat=2):
+            graev_delta_bruteforce(u, v, dbar)
+    for _ in range(3):
+        with pytest.raises(PreconditionError):
+            graev_delta_bruteforce(FreeWord((), 1), FreeWord((), 1), bad)
+    assert calls == [5, 5, 3]

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, evidence output and determinism."""
+import gc
 import json
 import time
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -257,6 +259,33 @@ def test_strong_triangle_is_checked_once_per_load(runner, monkeypatch):
     assert calls == [4, 4]
     assert invoke(runner, ["validate", WORKSPACE]).exit_code == 0
     assert calls == [4, 4, 4]
+
+
+def test_in_process_requests_free_their_streams(runner):
+    # click's default stream lookup caches each stream with a strong
+    # reference to itself; a request that writes through it stays alive
+    requests = [
+        (["validate", WORKSPACE], 0),
+        (["member", "-g", "B", WORKSPACE, '["p"]'], 1),
+        (["norm", WORKSPACE, '["nope"]'], 2),
+    ]
+
+    def run(count):
+        for i in range(count):
+            argv, code = requests[i % len(requests)]
+            assert invoke(runner, argv).exit_code == code
+
+    run(60)  # warm-up: imports, parse caches, interned strings
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        run(200)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / 200 < 300, retained
 
 
 # --- repeated Boolean names, nesting depth and group size ------------------

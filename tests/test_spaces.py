@@ -11,6 +11,7 @@ from nafree.errors import InputError, PreconditionError
 from nafree.spaces import (
     Partition,
     PartitionChain,
+    UltraMetricSpace,
     ball_chain,
     ball_partition,
     combine_pseudometrics,
@@ -53,6 +54,12 @@ def test_validate_structural_errors():
 def test_space_rejects_reserved_zero_name():
     with pytest.raises(InputError):
         make_space([[0]], names=("0",))
+
+
+def test_nameless_space_gets_default_names():
+    sp = UltraMetricSpace(((0, 1), (1, 0)))
+    assert sp.names == ("x0", "x1")
+    assert sp.index("x1") == 1
 
 
 def test_extend_with_zero_small_distance():
