@@ -3,12 +3,11 @@ closedness / empty-interior lemmas behind noncompleteness."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import CapExceeded, InputError, PreconditionError
+from .errors import CapExceeded, InputError, PreconditionError, shown
 from .spaces import Partition, PartitionChain
 
-DEFAULT_BN_CAP = 6
+BN_CAP = 6  # largest length n whose ball B_n is enumerated
 
 
 @dataclass(frozen=True)
@@ -20,15 +19,16 @@ class AbelianWord:
     ground: int
 
     def __post_init__(self):
-        items = tuple(sorted((p, int(c)) for p, c in self.coeffs if c != 0))
-        object.__setattr__(self, "coeffs", items)
         seen = set()
-        for p, _ in items:
-            if not 0 <= p < self.ground:
-                raise InputError(f"point {p} outside 0..{self.ground - 1}")
+        for p, c in self.coeffs:
+            if type(p) is not int or not 0 <= p < self.ground:
+                raise InputError(f"point {shown(p)} outside 0..{self.ground - 1}")
+            if type(c) is not int:
+                raise InputError(f"coefficient {shown(c)} is not an integer")
             if p in seen:
                 raise InputError(f"duplicate point {p}")
             seen.add(p)
+        object.__setattr__(self, "coeffs", tuple(sorted((p, c) for p, c in self.coeffs if c)))
 
     @classmethod
     def zero(cls, ground: int) -> "AbelianWord":
@@ -72,10 +72,7 @@ def lh(w: AbelianWord) -> int:
 def class_sums(w: AbelianWord, eps: Partition) -> tuple[int, ...]:
     """Per-block coefficient sums: the image of w in the free abelian group
     over the blocks."""
-    sums = [0] * len(eps.blocks)
-    for p, c in w.coeffs:
-        sums[eps.block_index(p)] += c
-    return tuple(sums)
+    return eps.block_sums(w.coeffs)
 
 
 def ab_eps_membership(w: AbelianWord, eps: Partition) -> bool:
@@ -83,10 +80,10 @@ def ab_eps_membership(w: AbelianWord, eps: Partition) -> bool:
     return all(s == 0 for s in class_sums(w, eps))
 
 
-def enumerate_Bn(n: int, ground: int, cap: int = DEFAULT_BN_CAP) -> list[AbelianWord]:
+def enumerate_Bn(n: int, ground: int) -> list[AbelianWord]:
     """All words of length <= n over the ground set."""
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds the enumeration cap {cap}")
+    if n > BN_CAP:
+        raise CapExceeded(f"n = {n} exceeds the enumeration cap {BN_CAP}")
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     # (coefficients so far, length left), extended one point at a time with
@@ -114,21 +111,15 @@ class AvoidanceReport:
         return all(not m for _, m in self.checked)
 
 
-def bn_avoidance_check(
-    w: AbelianWord, n: int, base: PartitionChain, cap: int = DEFAULT_BN_CAP
-) -> AvoidanceReport:
+def bn_avoidance_check(w: AbelianWord, n: int, base: PartitionChain) -> AvoidanceReport:
     """Find a separating chain level and verify (w + <eps>) avoids B_n by
     enumerating the whole ball."""
     if lh(w) <= n:
         raise PreconditionError(f"lh(w) = {lh(w)} must exceed n = {n}")
-    eps: Optional[Partition] = None
-    for _, part in base:
-        if part.separates(w.supp()):
-            eps = part
-            break
+    eps = base.separating_level(w.supp())
     if eps is None:
         raise PreconditionError("no chain level separates the support of w")
-    ball = enumerate_Bn(n, w.ground, cap)
+    ball = enumerate_Bn(n, w.ground)
     checked = tuple((v, ab_eps_membership(ab_add(w, ab_negate(v)), eps)) for v in ball)
     return AvoidanceReport(partition=eps, ball_size=len(ball), checked=checked)
 

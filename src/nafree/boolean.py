@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import CapExceeded, InputError, PreconditionError
+from .errors import CapExceeded, InputError, PreconditionError, shown
 from .finite_groups import IsometricAction
 from .spaces import (
     AugmentedSpace,
@@ -33,8 +33,9 @@ class BooleanWord:
 
     def __post_init__(self):
         object.__setattr__(self, "points", frozenset(self.points))
-        if any(not 0 <= p < self.ground for p in self.points):
-            raise InputError(f"points {sorted(self.points)} outside 0..{self.ground - 1}")
+        for p in self.points:
+            if type(p) is not int or not 0 <= p < self.ground:
+                raise InputError(f"point {shown(p)} outside 0..{self.ground - 1}")
 
     @classmethod
     def zero(cls, ground: int) -> "BooleanWord":
@@ -212,20 +213,14 @@ def graev_metric(u: BooleanWord, v: BooleanWord, space: AugmentedSpace) -> Fract
 def eps_subgroup_membership(u: BooleanWord, eps: Partition) -> bool:
     """u lies in the subgroup generated by {x+y : x,y epsilon-equivalent}
     iff every block holds an even number of points of u."""
-    counts = [0] * len(eps.blocks)
-    for p in u.points:
-        counts[eps.block_index(p)] += 1
-    return all(c % 2 == 0 for c in counts)
+    return all(c % 2 == 0 for c in eps.block_sums(zip(u.points, itertools.repeat(1))))
 
 
 def separating_entourage(u: BooleanWord, base: PartitionChain) -> Optional[Partition]:
     """Coarsest chain level separating the points of u pairwise, or None."""
     if u.is_zero():
         raise PreconditionError("the zero word has nothing to separate")
-    for _, part in base:
-        if part.separates(u.points):
-            return part
-    return None
+    return base.separating_level(u.points)
 
 
 def closedness_witness(u: BooleanWord, base: PartitionChain) -> Optional[Partition]:

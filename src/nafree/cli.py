@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import repeat
 from typing import NoReturn
 
 import click
 
-from .abelian import ab_eps_membership, class_sums
-from .boolean import eps_subgroup_membership, graev_norm_bruteforce, graev_norm_fast
+from .abelian import class_sums
+from .boolean import graev_norm_bruteforce, graev_norm_fast
 from .errors import CapExceeded, InputError, NafreeError, Violation, shown
-from .freegroup import eps_tilde_membership, quotient_hom
+from .freegroup import quotient_hom
 from .report import CLAIMS, run_report
 from .serialize import (
     dump_json,
@@ -141,21 +142,14 @@ def member(file, word, group, chain, level, as_json):
         obj = json.loads(word)
         if group == "B":
             u = parse_boolean_word(obj, ws.space)
-            verdict = eps_subgroup_membership(u, part)
-            evidence = {
-                "parity": [
-                    len(b & u.points) % 2 == 0 for b in part.blocks
-                ]
-            }
+            parity = [c % 2 == 0 for c in part.block_sums(zip(u.points, repeat(1)))]
+            verdict, evidence = all(parity), {"parity": parity}
         elif group == "A":
-            w = parse_abelian_word(obj, ws.space)
-            verdict = ab_eps_membership(w, part)
-            evidence = {"class_sums": list(class_sums(w, part))}
+            sums = list(class_sums(parse_abelian_word(obj, ws.space), part))
+            verdict, evidence = not any(sums), {"class_sums": sums}
         else:
-            w = parse_free_word(obj, ws.space)
-            verdict = eps_tilde_membership(w, part)
-            img = quotient_hom(w, part)
-            evidence = {"quotient_image_length": len(img)}
+            img = quotient_hom(parse_free_word(obj, ws.space), part)
+            verdict, evidence = img.is_identity(), {"quotient_image_length": len(img)}
     except (json.JSONDecodeError, RecursionError, InputError) as exc:
         _input_error(str(exc))
     blocks = [sorted(ws.space.names[p] for p in b) for b in part.blocks]

@@ -18,7 +18,8 @@ from .finite_groups import FiniteGroupTable
 from .freegroup import FreeWord, quotient_hom
 from .spaces import Partition, PartitionChain
 
-DEFAULT_DUAL_CAP = 12
+DUAL_CAP = 12  # largest ground set whose 2^n characters are listed
+LOCAL_BASE_CAP = 4096  # most homomorphisms F(X/eps) -> Q listed
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,11 @@ class Character:
         return Character(self.mask ^ other.mask, self.ground)
 
 
-def dual_group(algebra: ClopenAlgebra, cap: int = DEFAULT_DUAL_CAP) -> list[Character]:
+def dual_group(algebra: ClopenAlgebra) -> list[Character]:
     """All 2^n characters; additivity holds by construction of the bitmask
     pairing and is spot-verified here."""
-    if algebra.ground > cap:
-        raise CapExceeded(f"ground size {algebra.ground} exceeds cap {cap}")
+    if algebra.ground > DUAL_CAP:
+        raise CapExceeded(f"ground size {algebra.ground} exceeds cap {DUAL_CAP}")
     chars = [Character(s, algebra.ground) for s in range(algebra.order)]
     for chi in chars:
         for f, g in ((1, 1), (algebra.order - 1, 1)):
@@ -143,14 +144,12 @@ class QuotientHom:
         return self.target.order
 
 
-def local_base_SPro(
-    eps: Partition, target: FiniteGroupTable, cap: int = 4096
-) -> list[QuotientHom]:
+def local_base_SPro(eps: Partition, target: FiniteGroupTable) -> list[QuotientHom]:
     """All homomorphisms F(X/eps) -> Q as generator assignments."""
     k = len(eps.blocks)
     total = target.order**k
-    if total > cap:
-        raise CapExceeded(f"{total} homomorphisms exceed cap {cap}")
+    if total > LOCAL_BASE_CAP:
+        raise CapExceeded(f"{total} homomorphisms exceed cap {LOCAL_BASE_CAP}")
     return [
         QuotientHom(eps, target, images)
         for images in itertools.product(range(target.order), repeat=k)
@@ -172,17 +171,13 @@ class InverseSystem:
         return len(self.chain.partitions[i].blocks)
 
     def bond(self, i: int, u: BooleanWord) -> BooleanWord:
-        """Send an element of B(X/eps_{i+1}) to B(X/eps_i) by mapping each
-        fine block generator to the coarser block containing it."""
+        """Send an element of B(X/eps_{i+1}) to B(X/eps_i): the projection
+        of the fine blocks' representatives."""
         fine = self.chain.partitions[i + 1]
-        coarse = self.chain.partitions[i]
         if u.ground != len(fine.blocks):
             raise PreconditionError("element is not over the finer quotient")
-        acc: set[int] = set()
-        for fb in u.points:
-            rep = min(fine.blocks[fb])
-            acc ^= {coarse.block_index(rep)}
-        return BooleanWord(frozenset(acc), len(coarse.blocks))
+        reps = frozenset(min(fine.blocks[b]) for b in u.points)
+        return self.project_from_base(BooleanWord(reps, fine.ground), i)
 
     def skip_bond(self, i: int, j: int, u: BooleanWord) -> BooleanWord:
         """Compose consecutive bonds from level j down to level i (i <= j)."""
@@ -193,10 +188,8 @@ class InverseSystem:
     def project_from_base(self, u: BooleanWord, i: int) -> BooleanWord:
         """Image of an element of B(X) in the level-i quotient."""
         part = self.chain.partitions[i]
-        acc: set[int] = set()
-        for p in u.points:
-            acc ^= {part.block_index(p)}
-        return BooleanWord(frozenset(acc), len(part.blocks))
+        sums = part.block_sums(zip(u.points, itertools.repeat(1)))
+        return BooleanWord(frozenset(b for b, c in enumerate(sums) if c % 2), len(part.blocks))
 
     def thread_check(self, thread: Sequence[BooleanWord]) -> bool:
         """Accept exactly bond-consistent sequences, one element per level,

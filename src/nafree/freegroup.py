@@ -12,13 +12,13 @@ from typing import Optional, Sequence
 
 from .abelian import AbelianWord
 from .boolean import BooleanWord
-from .errors import CapExceeded, InputError, PreconditionError
+from .errors import CapExceeded, InputError, PreconditionError, shown
 from .spaces import Matrix, Partition, RankedMatrix, Ranks, rank_matrix, validate_ultrametric
 
 Letter = tuple[int, int]
 
-DEFAULT_CLOSURE_CAP = 8
-DEFAULT_DELTA_CAP = 6
+CLOSURE_CAP = 8  # longest words in a computed subgroup ball
+DELTA_CAP = 6  # longest reduced u^-1 v the brute-force delta accepts
 CLOSURE_SLACK = 2
 
 
@@ -34,25 +34,24 @@ def _reduce(letters: Sequence[Letter]) -> tuple[Letter, ...]:
 
 @dataclass(frozen=True)
 class FreeWord:
-    """A freely reduced word over the alphabet 0..alphabet-1."""
+    """A freely reduced word over 0..alphabet-1; letters that cancel are checked too."""
 
     letters: tuple[Letter, ...]
     alphabet: int
 
     def __post_init__(self):
+        n = self.alphabet
         red: list[Letter] = []
         for p, s in self.letters:
-            p, s = int(p), int(s)
+            if type(p) is not int or not 0 <= p < n:
+                raise InputError(f"letter {shown(p)} outside 0..{n - 1}")
+            if type(s) is not int or s not in (1, -1):
+                raise InputError(f"exponent {shown(s)} must be +-1")
             if red and red[-1] == (p, -s):
                 red.pop()
             else:
                 red.append((p, s))
         object.__setattr__(self, "letters", tuple(red))
-        for p, s in red:
-            if not 0 <= p < self.alphabet:
-                raise InputError(f"letter {p} outside 0..{self.alphabet - 1}")
-            if s not in (1, -1):
-                raise InputError(f"exponent {s} must be +-1")
 
     @classmethod
     def identity(cls, alphabet: int) -> "FreeWord":
@@ -166,9 +165,7 @@ def _constant_closure(
     return frozenset(closed)
 
 
-def v_psi_ball(
-    psi: PsiAssignment, alphabet: int, length_cap: int, max_cap: int = DEFAULT_CLOSURE_CAP
-) -> frozenset[FreeWord]:
+def v_psi_ball(psi: PsiAssignment, alphabet: int, length_cap: int) -> frozenset[FreeWord]:
     """Ball of the subgroup generated by {w g w^-1 : g an in-block pair}.
 
     For a constant assignment the ball is computed exactly (deletion search,
@@ -176,8 +173,8 @@ def v_psi_ball(
     bounded semi-decision: presence proves membership, absence at the cap
     proves nothing.
     """
-    if length_cap > max_cap:
-        raise CapExceeded(f"length cap {length_cap} exceeds maximum {max_cap}")
+    if length_cap > CLOSURE_CAP:
+        raise CapExceeded(f"length cap {length_cap} exceeds maximum {CLOSURE_CAP}")
     if not psi.overrides:
         raw = _constant_closure(psi.default, range(alphabet), length_cap)
         return frozenset(FreeWord(w, alphabet) for w in raw)
@@ -372,7 +369,6 @@ def graev_delta_bruteforce(
     u: FreeWord,
     v: FreeWord,
     dbar: SymmetrizedSpace,
-    cap: int = DEFAULT_DELTA_CAP,
     extra_letters: Sequence[int] = (),
 ) -> Fraction:
     """Brute-force Graev-type ultra-metric: delta(u, v) as a bottleneck
@@ -382,8 +378,8 @@ def graev_delta_bruteforce(
     if not check.ok:
         raise PreconditionError(f"symmetrized metric invalid: {check.violation}")
     w = fg_multiply(fg_invert(u), v)
-    if len(w) > cap:
-        raise CapExceeded(f"reduced length {len(w)} exceeds cap {cap}")
+    if len(w) > DELTA_CAP:
+        raise CapExceeded(f"reduced length {len(w)} exceeds cap {DELTA_CAP}")
     return _delta_word(w, dbar, word_alphabet(w, dbar, extra_letters))
 
 

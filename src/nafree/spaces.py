@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError, Violation, shown
 
@@ -228,21 +228,17 @@ class AugmentedSpace:
         return self.dist[p][q]
 
 
-def extend_with_zero(space: UltraMetricSpace, x0: int | None = None) -> AugmentedSpace:
-    """Adjoin the zero element with d(x, 0) = max(d(x, x0), 1).
+def extend_with_zero(space: UltraMetricSpace) -> AugmentedSpace:
+    """Adjoin the zero element with d(x, 0) = max(d(x, b), 1), where b is
+    `space.basepoint`; `dataclasses.replace(space, basepoint=...)` moves it.
 
     The result is an ultra-metric by construction, so it is not re-checked:
-    d(x, y) <= max(d(x, x0), d(x0, y)) <= max(d(x, 0), d(y, 0)), and
-    d(x, 0) <= max(d(x, y), d(y, 0)) since d(x, x0) <= max(d(x, y), d(y, x0))
+    d(x, y) <= max(d(x, b), d(b, y)) <= max(d(x, 0), d(y, 0)), and
+    d(x, 0) <= max(d(x, y), d(y, 0)) since d(x, b) <= max(d(x, y), d(y, b))
     and 1 <= d(y, 0).
     """
-    if x0 is None:
-        x0 = space.basepoint
-    if not 0 <= x0 < space.size:
-        raise PreconditionError(f"basepoint {x0} not in space")
-    n = space.size
-    zrow = tuple(max(space.d(x, x0), Fraction(1)) for x in range(n))
-    rows = [space.dist[i] + (zrow[i],) for i in range(n)]
+    zrow = tuple(max(row[space.basepoint], Fraction(1)) for row in space.dist)
+    rows = [row + (z,) for row, z in zip(space.dist, zrow)]
     rows.append(zrow + (Fraction(0),))
     return AugmentedSpace(base=space, dist=tuple(rows))
 
@@ -284,6 +280,18 @@ class Partition:
         except KeyError:
             raise InputError(f"point {p} outside the partition ground set") from None
 
+    def block_sums(self, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+        """Per-block sums of the coefficients c of (point, c) terms: the image
+        of the sum of c * point in the free abelian group over the blocks."""
+        sums = [0] * len(self.blocks)
+        block = self._block_of
+        try:
+            for p, c in terms:
+                sums[block[p]] += c
+        except KeyError as exc:
+            raise InputError(f"point {exc.args[0]} outside the partition ground set") from None
+        return tuple(sums)
+
     def same_block(self, p: int, q: int) -> bool:
         return self.block_index(p) == self.block_index(q)
 
@@ -324,6 +332,10 @@ class PartitionChain:
     @property
     def partitions(self) -> tuple[Partition, ...]:
         return tuple(p for _, p in self.levels)
+
+    def separating_level(self, points) -> Optional[Partition]:
+        """The coarsest level whose blocks separate `points` pairwise, or None."""
+        return next((p for _, p in self.levels if p.separates(points)), None)
 
 
 def _ball_classes(dist, points, r) -> list[list[int]]:

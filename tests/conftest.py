@@ -8,6 +8,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from nafree.freegroup import SymmetrizedSpace
 from nafree.spaces import UltraMetricSpace, extend_with_zero
 
 
@@ -38,6 +39,13 @@ def split_space_half() -> UltraMetricSpace:
 
 def aug(space: UltraMetricSpace):
     return extend_with_zero(space)
+
+
+def discrete_dbar(n: int) -> SymmetrizedSpace:
+    """X union X^-1 union {e} over n generators, all at distance 1."""
+    size = 2 * n + 1
+    rows = [[Fraction(0 if i == j else 1) for j in range(size)] for i in range(size)]
+    return SymmetrizedSpace(n, tuple(tuple(r) for r in rows))
 
 
 def all_partitions(n: int):

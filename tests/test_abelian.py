@@ -16,13 +16,23 @@ from nafree.abelian import (
     enumerate_Bn,
     lh,
 )
-from nafree.errors import CapExceeded, PreconditionError
+from nafree.errors import CapExceeded, InputError, PreconditionError
 from nafree.oracles import abelian_membership_search
 from nafree.spaces import Partition, PartitionChain
 
 
 def aw(d, ground=3):
     return AbelianWord.from_dict(d, ground)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [((0, 1.5),), ((0, True),), ((0, 0.0),), ((1.5, 1),), ((True, 1),), ((2, 1),), ((0, 1), (0, -1))],
+)
+def test_abelian_word_checks_each_term(coeffs):
+    # 1.5 and True are not read as 1, and a zero coefficient is checked too
+    with pytest.raises(InputError):
+        AbelianWord(coeffs, 2)
 
 
 def test_ab_add_and_negate():

@@ -8,13 +8,14 @@ import itertools
 import json
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import all_boolean_words, all_partitions, aug, make_space
+from conftest import all_boolean_words, all_partitions, aug, discrete_dbar, make_space
 from corpus import VALUES, corpus, random_ultrametric
 from nafree.abelian import AbelianWord, ab_eps_membership, bn_avoidance_check, bn_interior_witness, enumerate_Bn, lh
 from nafree.boolean import (
@@ -168,27 +169,10 @@ def test_acceptance_05_membership_oracles():
 # --- 6. kernel identity (free group) ---------------------------------------
 
 
-def _reduced_words(alphabet, max_len):
-    out = [FreeWord((), alphabet)]
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for t in frontier:
-            for p in range(alphabet):
-                for s in (1, -1):
-                    if t and t[-1] == (p, -s):
-                        continue
-                    nt = t + ((p, s),)
-                    nxt.append(nt)
-                    out.append(FreeWord(nt, alphabet))
-        frontier = nxt
-    return out
-
-
 def test_acceptance_06_kernel_identity():
     checks = 0
     for n in (1, 2, 3):
-        words = _reduced_words(n, 6)
+        words = [FreeWord(w, n) for w in freegroup._raw_words(range(n), 6)]
         for part in all_partitions(n):
             ball = v_psi_ball(PsiAssignment(part), n, 6)
             for w in words:
@@ -365,12 +349,6 @@ def test_acceptance_10_action_lifting():
 # --- 11. Graev delta on the free group -------------------------------------
 
 
-def _dbar_discrete(n):
-    size = 2 * n + 1
-    rows = [[Fraction(0 if i == j else 1) for j in range(size)] for i in range(size)]
-    return SymmetrizedSpace(n, tuple(tuple(r) for r in rows))
-
-
 def _dbar_two_scale():
     # two generators at distance 1/2, everything else at distance 1
     n = 2
@@ -385,16 +363,16 @@ def _dbar_two_scale():
 
 def test_acceptance_11_graev_delta():
     e_checks = tri_checks = bi_checks = alpha_checks = 0
-    for dbar in (_dbar_discrete(1), _dbar_discrete(2), _dbar_two_scale()):
+    for dbar in (discrete_dbar(1), discrete_dbar(2), _dbar_two_scale()):
         n = dbar.n
         assert check_grau_conditions(dbar).ok
-        words = _reduced_words(n, 3)
+        words = [FreeWord(w, n) for w in freegroup._raw_words(range(n), 3)]
         cache = {}
 
         def d(u, v, extra=()):
             key = (fg_multiply(fg_invert(u), v).letters, tuple(extra))
             if key not in cache:
-                cache[key] = graev_delta_bruteforce(u, v, dbar, cap=6, extra_letters=extra)
+                cache[key] = graev_delta_bruteforce(u, v, dbar, extra_letters=extra)
             return cache[key]
 
         e = FreeWord((), n)
@@ -426,7 +404,8 @@ def test_acceptance_11_graev_delta():
                     bi_checks += 1
         if n == 2:
             # restricted vs one-letter-extended alphabet on single-generator words
-            for u, v in itertools.product(_reduced_words(1, 3), repeat=2):
+            one = [FreeWord(w, 1) for w in freegroup._raw_words(range(1), 3)]
+            for u, v in itertools.product(one, repeat=2):
                 uu = FreeWord(u.letters, n)
                 vv = FreeWord(v.letters, n)
                 assert d(uu, vv) == d(uu, vv, extra=(1,))
@@ -466,7 +445,7 @@ def _acceptance_13_matrices(rng):
     mats = [_random_symmetric(rng, rng.randint(1, 8), ties) for _ in range(3000)]
     for space in corpus(1313, 100):
         mats.append(space.dist)
-        mats += [extend_with_zero(space, x0).dist for x0 in range(space.size)]
+        mats += [extend_with_zero(replace(space, basepoint=x0)).dist for x0 in range(space.size)]
     return mats
 
 
@@ -578,7 +557,7 @@ def test_acceptance_14_rank_path():
                      "input error: negativ"}
     spaces = corpus(1414, 150)
     spaces += [
-        UltraMetricSpace(extend_with_zero(sp, x0).dist, sp.names + ("z",))
+        UltraMetricSpace(extend_with_zero(replace(sp, basepoint=x0)).dist, sp.names + ("z",))
         for sp in spaces[:60]
         for x0 in range(sp.size)
     ]
@@ -702,7 +681,7 @@ def test_acceptance_15_graev_rank_path():
     """The Graev check and delta, decided on distance ranks, equal the
     Fraction loops they replaced."""
     rng = random.Random(15)
-    valid = [_dbar_discrete(1), _dbar_discrete(2), _dbar_two_scale()]
+    valid = [discrete_dbar(1), discrete_dbar(2), _dbar_two_scale()]
     # the Fraction loop costs about 7 times as much at n = 3 as at n = 2
     sizes = (2,) * 17 + (3,) * 3
     valid += [SymmetrizedSpace(n, _symmetrized(random_ultrametric(rng, n))) for n in sizes]
@@ -710,7 +689,7 @@ def test_acceptance_15_graev_rank_path():
         SymmetrizedSpace(d.n, _perturbed(rng, d.dist, d.n)) for d in valid for _ in range(25)
     ]
     # an ultra-metric in which d(x^-1, y) != d(x, y^-1)
-    rows = [list(r) for r in _dbar_discrete(2).dist]
+    rows = [list(r) for r in discrete_dbar(2).dist]
     rows[2][1] = rows[1][2] = Fraction(1, 2)
     perturbed.append(SymmetrizedSpace(2, rows))
     outcomes = set()
@@ -758,7 +737,7 @@ def test_acceptance_15_graev_check_runs_once_per_space(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(freegroup, "validate_ultrametric", counted)
-    spaces = [_dbar_discrete(2), _dbar_two_scale()]
+    spaces = [discrete_dbar(2), _dbar_two_scale()]
     bad_rows = [[0, 1, 1], [1, 0, 2], [1, 2, 0]]  # d(x^-1, e) != d(x, e)
     bad = SymmetrizedSpace(1, bad_rows)
     for dbar in spaces:

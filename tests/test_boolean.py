@@ -1,6 +1,7 @@
 """Free Boolean group, configuration calculus and the Graev ultra-norm."""
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,14 +25,21 @@ from nafree.boolean import (
     separating_entourage,
     support,
 )
-from nafree.errors import CapExceeded, PreconditionError
+from nafree.errors import CapExceeded, InputError, PreconditionError
 from nafree.finite_groups import FiniteGroupTable, IsometricAction
 from nafree.oracles import boolean_membership_closure
-from nafree.spaces import Partition, PartitionChain, ball_chain
+from nafree.spaces import Partition, PartitionChain, ball_chain, extend_with_zero
 
 
 def w(points, ground=4):
     return BooleanWord(frozenset(points), ground)
+
+
+@pytest.mark.parametrize("points", [{1.5}, {True}, {0, 2}, {-1}])
+def test_boolean_word_checks_each_point(points):
+    # 1.5 and True are not read as the point 1
+    with pytest.raises(InputError):
+        BooleanWord(frozenset(points), 2)
 
 
 def test_bool_add():
@@ -139,6 +147,17 @@ def test_norm_upper_bounds_all_configurations():
         val = graev_norm_fast(u, ext).value
         for cfg in enumerate_normal_configurations(u):
             assert val <= phi(cfg, ext)
+
+
+def test_zero_attaches_at_the_space_basepoint():
+    for sp in corpus(seed=77, count=30, max_size=6):
+        for b in range(sp.size):
+            a = extend_with_zero(replace(sp, basepoint=b))
+            for x in range(sp.size):
+                u = BooleanWord(frozenset({x}), sp.size)
+                fast, brute = graev_norm_fast(u, a), graev_norm_bruteforce(u, a)
+                assert fast.basepoint == brute.basepoint == b
+                assert fast.value == brute.value == max(sp.d(x, b), 1)
 
 
 def test_graev_metric_examples():

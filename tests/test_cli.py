@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, evidence output and determinism."""
 import gc
 import json
+import random
 import time
 import tracemalloc
 from importlib import resources
@@ -9,9 +10,19 @@ import pytest
 from click.testing import CliRunner
 
 import nafree.spaces
+from corpus import corpus
+from nafree.abelian import ab_eps_membership
+from nafree.boolean import eps_subgroup_membership
 from nafree.cli import main
 from nafree.finite_groups import IsometricAction
-from nafree.serialize import load_workspace
+from nafree.freegroup import eps_tilde_membership
+from nafree.serialize import (
+    format_rational,
+    load_workspace,
+    parse_abelian_word,
+    parse_boolean_word,
+    parse_free_word,
+)
 
 WORKSPACE = str(resources.files("nafree") / "data" / "workspace.json")
 
@@ -115,6 +126,47 @@ def test_member_free_conjugate(runner):
     assert res.exit_code == 0
     out = json.loads(res.output)
     assert out["member"] is True and out["quotient_image_length"] == 0
+
+
+def _member_words(rng, names):
+    """Seeded B, A and F words over a few of the names, as JSON objects."""
+    pts = rng.sample(names, min(len(names), 3))
+    return [
+        ("B", [rng.choice(pts) for _ in range(rng.randint(0, 4))]),
+        ("A", {p: rng.randint(-2, 2) for p in pts}),
+        ("F", [rng.choice(pts) + rng.choice(("", "'")) for _ in range(rng.randint(0, 5))]),
+    ]
+
+
+def test_member_verdict_equals_the_membership_functions(runner, tmp_path):
+    """`member` reads its verdict off the evidence it prints; at every chain
+    level that verdict is the one the membership functions decide."""
+    paths = [WORKSPACE]
+    for i, sp in enumerate(corpus(seed=808, count=6, max_size=6)):
+        dist = [[format_rational(v) for v in row] for row in sp.dist]
+        paths.append(write(tmp_path, {"space": {"points": list(sp.names), "dist": dist}}, f"c{i}.json"))
+    decide = {
+        "B": (parse_boolean_word, eps_subgroup_membership),
+        "A": (parse_abelian_word, ab_eps_membership),
+        "F": (parse_free_word, eps_tilde_membership),
+    }
+    rng = random.Random(8)
+    verdicts = set()
+    for path in paths:
+        ws = load_workspace(path)
+        for chain_name, chain in ws.chains.items():
+            for level, (_, part) in enumerate(chain.levels):
+                for _ in range(2):
+                    for group, obj in _member_words(rng, list(ws.space.names)):
+                        parse, member = decide[group]
+                        want = member(parse(obj, ws.space), part)
+                        argv = ["member", path, json.dumps(obj), "-g", group,
+                                "--chain", chain_name, "--level", str(level), "--json"]
+                        res = runner.invoke(main, argv)
+                        assert res.exit_code == (0 if want else 1), res.output
+                        assert json.loads(res.stdout)["member"] is want
+                        verdicts.add((group, want))
+    assert len(verdicts) == 6
 
 
 def test_member_unknown_chain(runner):

@@ -110,7 +110,7 @@ def test_kernel_words_lie_in_every_member():
 def test_local_base_cap():
     eps = Partition.discrete(4)
     with pytest.raises(CapExceeded):
-        local_base_SPro(eps, FiniteGroupTable.boolean_power(3), cap=10)
+        local_base_SPro(eps, FiniteGroupTable.boolean_power(4))  # 16^4 > LOCAL_BASE_CAP
 
 
 def _chain():

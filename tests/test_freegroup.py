@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_partitions
+from conftest import all_partitions, discrete_dbar
 from nafree.abelian import AbelianWord
 from nafree.boolean import BooleanWord
-from nafree.errors import CapExceeded, PreconditionError
+from nafree.errors import CapExceeded, InputError, PreconditionError
 from nafree.freegroup import (
     FreeWord,
     PsiAssignment,
     SymmetrizedSpace,
+    _raw_words,
     check_grau_conditions,
     eps_tilde_membership,
     fg_invert,
@@ -28,6 +29,22 @@ from nafree.spaces import Partition
 
 def fw(letters, alphabet=3):
     return FreeWord(tuple(letters), alphabet)
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [
+        ((5, 1), (5, -1)),  # outside the alphabet, though it cancels
+        ((0, 2), (0, -2)),  # not +-1, though it cancels
+        ((1.5, 1),),
+        ((True, 1),),
+        ((0, 1.0),),
+        ((0, True),),
+    ],
+)
+def test_free_word_checks_each_letter_before_reducing(letters):
+    with pytest.raises(InputError):
+        FreeWord(letters, 2)
 
 
 def test_multiply_and_invert():
@@ -110,25 +127,8 @@ def test_v_psi_ball_constant_matches_kernel():
     for n in (2, 3):
         for part in all_partitions(n):
             ball = v_psi_ball(PsiAssignment(part), n, 4)
-            for w in _words_up_to(n, 4):
+            for w in [FreeWord(t, n) for t in _raw_words(range(n), 4)]:
                 assert (w in ball) == eps_tilde_membership(w, part)
-
-
-def _words_up_to(alphabet, max_len):
-    out = [FreeWord((), alphabet)]
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for t in frontier:
-            for p in range(alphabet):
-                for s in (1, -1):
-                    if t and t[-1] == (p, -s):
-                        continue
-                    nt = t + ((p, s),)
-                    nxt.append(nt)
-                    out.append(FreeWord(nt, alphabet))
-        frontier = nxt
-    return out
 
 
 def test_v_psi_ball_trivial_cases():
@@ -152,12 +152,6 @@ def test_v_psi_ball_with_override_semi_decides():
     assert fw([(0, 1), (1, -1)]) not in ball
 
 
-def _discrete_dbar(n):
-    size = 2 * n + 1
-    rows = [[Fraction(0 if i == j else 1) for j in range(size)] for i in range(size)]
-    return SymmetrizedSpace(n, tuple(tuple(r) for r in rows))
-
-
 def _dbar_from_pairs(n, entries, default=Fraction(2)):
     """Build a symmetrized matrix from distances on half the index set."""
     size = 2 * n + 1
@@ -178,7 +172,7 @@ def _dbar_from_pairs(n, entries, default=Fraction(2)):
 
 
 def test_check_grau_conditions_discrete():
-    chk = check_grau_conditions(_discrete_dbar(2))
+    chk = check_grau_conditions(discrete_dbar(2))
     assert chk.ok
     assert chk.strong_pattern  # all unit distances trivially match the max pattern
 
@@ -196,7 +190,7 @@ def test_check_grau_conditions_violation():
 
 
 def test_delta_extends_metric_on_letters():
-    dbar = _discrete_dbar(2)
+    dbar = discrete_dbar(2)
     x = FreeWord(((0, 1),), 2)
     y = FreeWord(((1, 1),), 2)
     assert graev_delta_bruteforce(x, y, dbar) == dbar.d(0, 1)
@@ -204,7 +198,7 @@ def test_delta_extends_metric_on_letters():
 
 
 def test_delta_identity_vs_product():
-    dbar = _discrete_dbar(2)
+    dbar = discrete_dbar(2)
     xy = FreeWord(((0, 1), (1, 1)), 2)
     e = FreeWord((), 2)
     val = graev_delta_bruteforce(xy, e, dbar)
@@ -214,8 +208,8 @@ def test_delta_identity_vs_product():
 
 
 def test_delta_bi_invariance_small():
-    dbar = _discrete_dbar(1)
-    words = _words_up_to(1, 2)
+    dbar = discrete_dbar(1)
+    words = [FreeWord(w, 1) for w in _raw_words(range(1), 2)]
     for u, v, t in itertools.product(words, repeat=3):
         base = graev_delta_bruteforce(u, v, dbar)
         assert graev_delta_bruteforce(fg_multiply(t, u), fg_multiply(t, v), dbar) == base
@@ -223,7 +217,7 @@ def test_delta_bi_invariance_small():
 
 
 def test_delta_cap_and_conditions_enforced():
-    dbar = _discrete_dbar(1)
+    dbar = discrete_dbar(1)
     long = FreeWord(((0, 1),) * 8, 1)
     with pytest.raises(CapExceeded):
         graev_delta_bruteforce(long, FreeWord((), 1), dbar)

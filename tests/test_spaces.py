@@ -1,6 +1,7 @@
 """Ultra-metric spaces, partitions and the pseudometric combination."""
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -64,14 +65,14 @@ def test_nameless_space_gets_default_names():
 
 def test_extend_with_zero_small_distance():
     sp = make_space([[0, Fraction(1, 2)], [Fraction(1, 2), 0]], names=("a", "b"))
-    ext = extend_with_zero(sp, 0)
+    ext = extend_with_zero(sp)
     assert ext.d(0, ext.zero) == 1
     assert ext.d(1, ext.zero) == 1
 
 
 def test_extend_with_zero_large_distance():
     sp = make_space([[0, 3], [3, 0]], names=("a", "b"))
-    ext = extend_with_zero(sp, 0)
+    ext = extend_with_zero(sp)
     assert ext.d(0, ext.zero) == 1
     assert ext.d(1, ext.zero) == 3
 
@@ -86,7 +87,7 @@ def test_extend_with_zero_always_valid():
     for _ in range(40):
         sp = random_ultrametric(rng, rng.randint(1, 6))
         x0 = rng.randrange(sp.size)
-        ext = extend_with_zero(sp, x0)
+        ext = extend_with_zero(replace(sp, basepoint=x0))
         assert validate_ultrametric(ext.dist) is None
 
 
@@ -94,12 +95,12 @@ def test_extend_with_zero_is_ultrametric_at_every_basepoint():
     # extend_with_zero does not re-check its matrix; this pins that it need not
     for sp in corpus(seed=2024, count=120):
         for x0 in range(sp.size):
-            assert validate_ultrametric(extend_with_zero(sp, x0).dist) is None
+            assert validate_ultrametric(extend_with_zero(replace(sp, basepoint=x0)).dist) is None
 
 
 def test_extend_with_zero_bad_basepoint():
-    with pytest.raises(PreconditionError):
-        extend_with_zero(make_space([[0]]), 5)
+    with pytest.raises(InputError, match="basepoint 5 out of range"):
+        extend_with_zero(replace(make_space([[0]]), basepoint=5))
 
 
 def test_ball_partition_split_space():
@@ -160,6 +161,14 @@ def test_partition_refines_and_separates():
     assert not coarse.refines(fine)
     assert fine.separates({0, 1, 2})
     assert not coarse.separates({0, 1})
+
+
+def test_separating_level_is_the_coarsest():
+    chain = ball_chain(split_space())  # thresholds 2, 1, 0
+    assert chain.separating_level({0, 2}) == chain.levels[1][1]
+    assert chain.separating_level({0, 1}) == chain.levels[2][1]
+    assert chain.separating_level({0}) == chain.levels[0][1]
+    assert PartitionChain(((Fraction(1), Partition.indiscrete(2)),)).separating_level({0, 1}) is None
 
 
 def test_partition_chain_validation():
