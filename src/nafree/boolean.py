@@ -18,6 +18,7 @@ from .spaces import (
     Partition,
     PartitionChain,
     _ball_classes,
+    rational,
     strict_ball_partition,
 )
 
@@ -256,7 +257,7 @@ def ball_equals_subgroup(
     space: AugmentedSpace, eps_value, word_pool
 ) -> BallSubgroupReport:
     """Check ||u|| < eps  <=>  u in <{x+y : d(x,y) < eps}> over a word pool."""
-    eps = Fraction(eps_value)
+    eps = rational(eps_value)
     if not 0 < eps < 1:
         raise PreconditionError(f"threshold must lie in (0,1), got {eps}")
     part = strict_ball_partition(space.base, eps)

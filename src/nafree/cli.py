@@ -14,7 +14,7 @@ from typing import NoReturn
 import click
 
 from .abelian import class_sums
-from .boolean import graev_norm_bruteforce, graev_norm_fast
+from .boolean import DEFAULT_ENUM_CAP, graev_norm_bruteforce, graev_norm_fast
 from .errors import CapExceeded, InputError, NafreeError, Violation, shown
 from .freegroup import quotient_hom
 from .report import CLAIMS, run_report
@@ -84,7 +84,7 @@ def validate(file):
 @click.argument("file", type=click.Path())
 @click.argument("word")
 @click.option("--check", is_flag=True, help="also run the brute-force oracle")
-@click.option("--cap", type=int, default=12, show_default=True, help="enumeration cap")
+@click.option("--cap", type=int, default=DEFAULT_ENUM_CAP, show_default=True, help="enumeration cap")
 @click.option("--basepoint", default=None, help="override the zero-extension basepoint")
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def norm(file, word, check, cap, basepoint, as_json):

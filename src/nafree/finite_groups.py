@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CapExceeded, InputError, PreconditionError
-from .spaces import UltraMetricSpace, Matrix
+from .spaces import UltraMetricSpace, Matrix, rational
 
 # largest group `from_permutations` closes: its table has order^2 entries,
 # and the group axioms are checked in order^2 steps times the generators
@@ -169,7 +169,7 @@ class SeminormTable:
     value: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.value)
+        vals = tuple(map(rational, self.value))
         object.__setattr__(self, "value", vals)
         g = self.group
         if len(vals) != g.order:
@@ -214,7 +214,7 @@ class SubgroupResult:
 
 def subgroup_from_seminorm(p: SeminormTable, eps) -> SubgroupResult:
     """H_eps = {g : p(g) < eps}, verified to be a subgroup."""
-    eps = Fraction(eps)
+    eps = rational(eps)
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
     h = frozenset(g for g in range(p.group.order) if p.value[g] < eps)

@@ -384,11 +384,8 @@ def graev_delta_bruteforce(
 
 
 def project_to_boolean(w: FreeWord) -> BooleanWord:
-    """Support of the odd-exponent-sum letters."""
-    parity: dict[int, int] = {}
-    for p, s in w.letters:
-        parity[p] = parity.get(p, 0) ^ 1
-    return BooleanWord(frozenset(p for p, odd in parity.items() if odd), w.alphabet)
+    """The mod-2 image of `project_to_abelian`: the letters of odd exponent sum."""
+    return BooleanWord(frozenset(p for p, c in project_to_abelian(w).coeffs if c % 2), w.alphabet)
 
 
 def project_to_abelian(w: FreeWord) -> AbelianWord:

@@ -25,24 +25,12 @@ from .spaces import (
     UltraMetricSpace,
     ball_chain,
     extend_with_zero,
+    rational,
 )
 
 
-def parse_rational(v) -> Fraction:
-    if isinstance(v, bool):
-        raise InputError(f"not a rational: {shown(v)}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed rational {shown(v)}: {clip(str(exc))}") from exc
-    raise InputError(f"not a rational: {shown(v)}")
-
-
 def format_rational(v: Fraction) -> str:
-    v = Fraction(v)
+    v = rational(v)
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
@@ -68,10 +56,10 @@ def parse_space(obj: dict, basepoint: Optional[str] = None) -> UltraMetricSpace:
         # only str and int spellings are kept, since true and 1.0 compare
         # equal to 1 as keys but are not rationals
         if type(v) is not str and type(v) is not int:
-            return parse_rational(v)
+            return rational(v)
         f = parsed.get(v)
         if f is None:
-            f = parsed[v] = parse_rational(v)
+            f = parsed[v] = rational(v)
         return f
 
     rows = _array(obj["dist"], "dist")
@@ -107,7 +95,7 @@ def parse_chain(obj, space: UltraMetricSpace) -> PartitionChain:
     for lvl in _array(obj["levels"], "levels"):
         if not isinstance(lvl, dict) or "threshold" not in lvl:
             raise InputError("a chain level needs 'threshold' and 'blocks'")
-        parsed.append((parse_rational(lvl["threshold"]), parse_partition(lvl, space)))
+        parsed.append((rational(lvl["threshold"]), parse_partition(lvl, space)))
     return PartitionChain(tuple(parsed))
 
 
@@ -124,9 +112,6 @@ def parse_boolean_word(obj, space: UltraMetricSpace) -> BooleanWord:
 def parse_abelian_word(obj, space: UltraMetricSpace) -> AbelianWord:
     if not isinstance(obj, dict):
         raise InputError("abelian word must be an object name -> coefficient")
-    for c in obj.values():
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise InputError(f"coefficient {shown(c)} is not an integer")
     return AbelianWord(tuple((space.index(n), c) for n, c in obj.items()), space.size)
 
 

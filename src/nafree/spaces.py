@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, PreconditionError, Violation, shown
+from .errors import InputError, PreconditionError, Violation, clip, shown
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Ranks = tuple[tuple[int, ...], ...]
@@ -21,11 +21,26 @@ Ranks = tuple[tuple[int, ...], ...]
 _ZERO = Fraction(0)
 
 
+def rational(v) -> Fraction:
+    """The one reader of exact values: a Fraction as the same object, an int
+    that is not a bool, or a string such as "p/q"; anything else, floats and
+    bools included, is an InputError."""
+    if type(v) is Fraction:
+        return v
+    if isinstance(v, bool) or not isinstance(v, (int, str, Fraction)):
+        raise InputError(f"not a rational: {shown(v)}")
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed rational {shown(v)}: {clip(str(exc))}") from exc
+
+
 def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    """Rows as tuples of Fractions; an entry that is already one is kept."""
-    return tuple(
-        tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row) for row in rows
-    )
+    """Rows as tuples of exact values, each read by `rational`."""
+    try:
+        return tuple(tuple(map(rational, row)) for row in rows)
+    except TypeError as exc:  # `rational` raises InputError, so a row is not iterable
+        raise InputError(f"malformed matrix: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -48,10 +63,7 @@ class RankedMatrix:
 def rank_matrix(rows: Sequence[Sequence]) -> RankedMatrix:
     """`rows` as Fractions with their ranks; InputError for an entry that is
     not a rational."""
-    try:
-        m = _as_matrix(rows)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed rational entry: {exc}") from exc
+    m = _as_matrix(rows)
     # a Fraction hashes and compares in Python, its lowest-terms pair in C;
     # entries parsed from one spelling share one object, so dedupe those first
     objs = {id(v): v for row in m for v in row}
@@ -177,6 +189,8 @@ class UltraMetricSpace:
             raise InputError("name table does not match matrix size")
         if "0" in self.names:
             raise InputError('point name "0" is reserved for the adjoined zero element')
+        if type(self.basepoint) is not int:
+            raise InputError(f"basepoint {shown(self.basepoint)} is not an int")
         if not 0 <= self.basepoint < len(self.dist):
             raise InputError(f"basepoint {self.basepoint} out of range")
         bad = validate_ultrametric(table)
@@ -315,7 +329,7 @@ class PartitionChain:
     levels: tuple[tuple[Fraction, Partition], ...]
 
     def __post_init__(self):
-        levels = tuple((Fraction(t), p) for t, p in self.levels)
+        levels = tuple((rational(t), p) for t, p in self.levels)
         object.__setattr__(self, "levels", levels)
         for (t1, p1), (t2, p2) in zip(levels, levels[1:]):
             if not t2 < t1:
@@ -364,7 +378,7 @@ def _rank_partition(space: UltraMetricSpace, t: int) -> Partition:
 
 def ball_partition(space: UltraMetricSpace, r) -> Partition:
     """Partition by the relation d(p,q) <= r; transitive by strong triangle."""
-    r = Fraction(r)
+    r = rational(r)
     if r < 0:
         raise PreconditionError(f"negative radius {r}")
     return _rank_partition(space, bisect_right(space.scale, r) - 1)
@@ -372,7 +386,7 @@ def ball_partition(space: UltraMetricSpace, r) -> Partition:
 
 def strict_ball_partition(space: UltraMetricSpace, r) -> Partition:
     """Partition by the relation d(p,q) < r (also transitive)."""
-    r = Fraction(r)
+    r = rational(r)
     if r <= 0:
         raise PreconditionError(f"radius must be positive, got {r}")
     return _rank_partition(space, bisect_left(space.scale, r) - 1)
@@ -430,7 +444,7 @@ def combine_pseudometrics(family: Sequence[Sequence[Sequence]]) -> CombinedMetri
     for i in range(n):
         row = []
         for j in range(n):
-            row.append(max(Fraction(1, 2 ** (k + 1)) * m[i][j] for k, m in enumerate(mats)))
+            row.append(max(Fraction(1, 2) ** (k + 1) * m[i][j] for k, m in enumerate(mats)))
         rows.append(tuple(row))
     dist = tuple(rows)
     separates = all(dist[i][j] > 0 for i in range(n) for j in range(i + 1, n))

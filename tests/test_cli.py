@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import nafree.spaces
 from corpus import corpus
 from nafree.abelian import ab_eps_membership
-from nafree.boolean import eps_subgroup_membership
+from nafree.boolean import DEFAULT_ENUM_CAP, eps_subgroup_membership
 from nafree.cli import main
 from nafree.finite_groups import IsometricAction
 from nafree.freegroup import eps_tilde_membership
@@ -248,6 +248,26 @@ def assert_input_error(res):
 )
 def test_member_abelian_rejects_non_integer_coefficients(runner, word):
     assert_input_error(invoke(runner, ["member", WORKSPACE, word, "-g", "A", "--level", "0"]))
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ('{"p": 1.5}', "coefficient 1.5 is not an integer"),
+        # every name is read before the word checks its coefficients
+        ('{"zz": 1, "p": 1.5}', "unknown point name 'zz'"),
+    ],
+)
+def test_member_abelian_reports_the_first_fault(runner, word, message):
+    res = invoke(runner, ["member", WORKSPACE, word, "-g", "A"])
+    assert_input_error(res)
+    assert res.stderr == f"input error: {message}\n"
+
+
+def test_norm_cap_default_is_the_enumeration_cap(runner):
+    (cap,) = (p for p in main.commands["norm"].params if p.name == "cap")
+    assert cap.default == DEFAULT_ENUM_CAP
+    assert "[default: 12]" in invoke(runner, ["norm", "--help"]).stdout
 
 
 def test_member_free_rejects_non_string_letters(runner):

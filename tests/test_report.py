@@ -64,6 +64,13 @@ def test_l_eps_row_fails_on_a_wrong_kernel(monkeypatch):
     assert row["detail"].startswith("kernel mismatch at partition")
 
 
+def test_report_runs_every_claim_in_order():
+    rows = run_report(load_workspace(WORKSPACE))
+    assert tuple(rows) == CLAIMS == (
+        "claim5", "claim6", "claim7", "l_eps", "t_AE2", "fbaire", "sbaire", "duality"
+    )
+
+
 def test_report_on_24_points_ends_with_a_verdict(tmp_path):
     # l_eps checks each level on at most six points, so all 24 points no
     # longer mean (2 * 24)^4 words per level; up to six points it uses all

@@ -50,6 +50,10 @@ def test_validate_structural_errors():
         validate_ultrametric([[0, 1], [1, 0], [1, 1]])
     with pytest.raises(InputError):
         validate_ultrametric([[0, -1], [-1, 0]])
+    with pytest.raises(InputError, match="malformed matrix"):
+        validate_ultrametric([[0, 1], 5])
+    with pytest.raises(InputError, match="malformed matrix"):
+        combine_pseudometrics([[[0, 1], 5]])
 
 
 def test_space_rejects_reserved_zero_name():
@@ -101,6 +105,10 @@ def test_extend_with_zero_is_ultrametric_at_every_basepoint():
 def test_extend_with_zero_bad_basepoint():
     with pytest.raises(InputError, match="basepoint 5 out of range"):
         extend_with_zero(replace(make_space([[0]]), basepoint=5))
+    # True and 1.0 compare equal to the point 1 of a two-point space
+    for bad in (True, 1.0):
+        with pytest.raises(InputError, match=f"basepoint {bad} is not an int"):
+            extend_with_zero(replace(make_space([[0, 1], [1, 0]]), basepoint=bad))
 
 
 def test_ball_partition_split_space():
