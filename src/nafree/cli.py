@@ -2,14 +2,14 @@
 
 Exit codes: 0 on success, 1 on mathematical failure (a negative verdict, or
 the axiom violation `validate` reports), 2 on input errors.  Under every
-other command a workspace that breaks an axiom is an input error.
+other command a workspace that breaks an axiom is an input error.  Commands
+return their verdict; `main` alone turns verdicts and errors into exit codes.
 """
 from __future__ import annotations
 
 import json
 import sys
 from itertools import repeat
-from typing import NoReturn
 
 import click
 
@@ -28,9 +28,6 @@ from .serialize import (
     parse_free_word,
 )
 
-EXIT_MATH_FAIL = 1
-EXIT_INPUT = 2
-
 
 def _echo(message: str, nl: bool = True, err: bool = False) -> None:
     """`click.echo` to the current stdout or stderr, looked up on each call.
@@ -40,19 +37,38 @@ def _echo(message: str, nl: bool = True, err: bool = False) -> None:
     click.echo(message, file=click.get_text_stream("stderr" if err else "stdout"), nl=nl)
 
 
-def _input_error(message: str) -> NoReturn:
-    _echo(f"input error: {message}", err=True)
-    sys.exit(EXIT_INPUT)
+def _emit(as_json: bool, payload, lines: list[str]) -> None:
+    """Print `payload` as deterministic JSON, or else `lines` as text."""
+    if as_json:
+        _echo(dump_json(payload), nl=False)
+    else:
+        _echo("\n".join(lines))
 
 
-def _load(file, basepoint):
+def _json(word: str):
+    """The JSON value of a WORD argument; unreadable JSON is an InputError."""
     try:
-        return load_workspace(file, basepoint)
-    except InputError as exc:
-        _input_error(str(exc))
+        return json.loads(word)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(str(exc)) from exc
 
 
-@click.group()
+class _Boundary(click.Group):
+    """The one owner of the exit codes: a library error exits 2 after one
+    `input error:` line on stderr, a false verdict 1, a true one 0."""
+
+    def invoke(self, ctx):
+        try:
+            verdict = super().invoke(ctx)
+        except NafreeError as exc:
+            _echo(f"input error: {exc}", err=True)
+            sys.exit(2)
+        if not verdict:
+            sys.exit(1)
+        return verdict
+
+
+@click.group(cls=_Boundary)
 def main():
     """Exact computations with free non-archimedean groups at desk scale."""
 
@@ -69,15 +85,15 @@ def validate(file):
         ws = load_workspace(file)
     except Violation as exc:
         _echo(f"violation: {exc}")
-        sys.exit(EXIT_MATH_FAIL)
-    except InputError as exc:
-        _input_error(str(exc))
-    _echo(f"space: {ws.space.size} points, ok")
-    for name, chain in ws.chains.items():
-        _echo(f"chain {name}: {len(chain)} levels, ok")
-    for name, act in ws.actions.items():
-        _echo(f"action {name}: group of order {act.group.order}, isometric, ok")
-    _echo("ok")
+        return False
+    _echo("\n".join([
+        f"space: {ws.space.size} points, ok",
+        *(f"chain {name}: {len(chain)} levels, ok" for name, chain in ws.chains.items()),
+        *(f"action {name}: group of order {act.group.order}, isometric, ok"
+          for name, act in ws.actions.items()),
+        "ok",
+    ]))
+    return True
 
 
 @main.command()
@@ -89,13 +105,17 @@ def validate(file):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def norm(file, word, check, cap, basepoint, as_json):
     """Graev ultra-norm of a Boolean WORD (JSON array of point names)."""
-    ws = _load(file, basepoint)
-    try:
-        u = parse_boolean_word(json.loads(word), ws.space)
-    except (json.JSONDecodeError, RecursionError, InputError) as exc:
-        _input_error(str(exc))
+    ws = load_workspace(file, basepoint)
+    obj = _json(word)
+    u = parse_boolean_word(obj, ws.space)
     cert = graev_norm_fast(u, ws.aug)
     payload = encode_certificate(cert, ws.aug)
+    lines = [
+        f"word: {obj}",
+        f"norm: {payload['value']}  (algorithm: {payload['algorithm']})",
+        f"witness pairing: {payload['witness']}",
+    ]
+    agree = True
     if check:
         try:
             brute = graev_norm_bruteforce(u, ws.aug, cap)
@@ -103,19 +123,9 @@ def norm(file, word, check, cap, basepoint, as_json):
             payload["oracle"] = {"value": format_rational(brute.value), "agrees": agree}
         except CapExceeded as exc:
             payload["oracle"] = {"skipped": str(exc)}
-            agree = True
-    else:
-        agree = True
-    if as_json:
-        _echo(dump_json(payload), nl=False)
-    else:
-        _echo(f"word: {json.loads(word)}")
-        _echo(f"norm: {payload['value']}  (algorithm: {payload['algorithm']})")
-        _echo(f"witness pairing: {payload['witness']}")
-        if check:
-            _echo(f"oracle: {payload['oracle']}")
-    if not agree:
-        sys.exit(EXIT_MATH_FAIL)
+        lines.append(f"oracle: {payload['oracle']}")
+    _emit(as_json, payload, lines)
+    return agree
 
 
 @main.command()
@@ -131,37 +141,31 @@ def member(file, word, group, chain, level, as_json):
     WORD is JSON: B = array of names, A = {name: coeff}, F = letter array
     with trailing apostrophe for inverses.
     """
-    ws = _load(file, None)
+    ws = load_workspace(file)
     if chain not in ws.chains:
-        _input_error(f"unknown chain {shown(chain)}")
+        raise InputError(f"unknown chain {shown(chain)}")
     levels = ws.chains[chain].levels
     if not -len(levels) <= level < len(levels):
-        _input_error(f"level {level} out of range")
+        raise InputError(f"level {level} out of range")
     part = levels[level][1]
-    try:
-        obj = json.loads(word)
-        if group == "B":
-            u = parse_boolean_word(obj, ws.space)
-            parity = [c % 2 == 0 for c in part.block_sums(zip(u.points, repeat(1)))]
-            verdict, evidence = all(parity), {"parity": parity}
-        elif group == "A":
-            sums = list(class_sums(parse_abelian_word(obj, ws.space), part))
-            verdict, evidence = not any(sums), {"class_sums": sums}
-        else:
-            img = quotient_hom(parse_free_word(obj, ws.space), part)
-            verdict, evidence = img.is_identity(), {"quotient_image_length": len(img)}
-    except (json.JSONDecodeError, RecursionError, InputError) as exc:
-        _input_error(str(exc))
-    blocks = [sorted(ws.space.names[p] for p in b) for b in part.blocks]
-    payload = {"member": verdict, "blocks": blocks, **evidence}
-    if as_json:
-        _echo(dump_json(payload), nl=False)
+    obj = _json(word)
+    if group == "B":
+        u = parse_boolean_word(obj, ws.space)
+        parity = [c % 2 == 0 for c in part.block_sums(zip(u.points, repeat(1)))]
+        verdict, evidence = all(parity), {"parity": parity}
+    elif group == "A":
+        sums = list(class_sums(parse_abelian_word(obj, ws.space), part))
+        verdict, evidence = not any(sums), {"class_sums": sums}
     else:
-        _echo(f"blocks: {blocks}")
-        _echo(f"evidence: {evidence}")
-        _echo("member" if verdict else "not a member")
-    if not verdict:
-        sys.exit(EXIT_MATH_FAIL)
+        img = quotient_hom(parse_free_word(obj, ws.space), part)
+        verdict, evidence = img.is_identity(), {"quotient_image_length": len(img)}
+    blocks = [sorted(ws.space.names[p] for p in b) for b in part.blocks]
+    _emit(as_json, {"member": verdict, "blocks": blocks, **evidence}, [
+        f"blocks: {blocks}",
+        f"evidence: {evidence}",
+        "member" if verdict else "not a member",
+    ])
+    return verdict
 
 
 @main.command()
@@ -170,20 +174,13 @@ def member(file, word, group, chain, level, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def report(file, only, as_json):
     """Run the claim-by-claim property suite on the workspace."""
-    ws = _load(file, None)
-    try:
-        rows = run_report(ws, only)
-    except NafreeError as exc:
-        _input_error(str(exc))
-    if as_json:
-        _echo(dump_json(rows), nl=False)
-    else:
-        width = max(len(c) for c in rows)
-        for claim, row in rows.items():
-            status = "pass" if row["passed"] else "FAIL"
-            _echo(f"{claim:<{width}}  {status}  {row['detail']}")
-    if not all(row["passed"] for row in rows.values()):
-        sys.exit(EXIT_MATH_FAIL)
+    rows = run_report(load_workspace(file), only)
+    width = max(len(c) for c in rows)
+    _emit(as_json, rows, [
+        f"{claim:<{width}}  {'pass' if row['passed'] else 'FAIL'}  {row['detail']}"
+        for claim, row in rows.items()
+    ])
+    return all(row["passed"] for row in rows.values())
 
 
 if __name__ == "__main__":

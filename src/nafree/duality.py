@@ -32,9 +32,6 @@ class ClopenAlgebra:
     def order(self) -> int:
         return 1 << self.ground
 
-    def add(self, f: int, g: int) -> int:
-        return f ^ g
-
 
 @dataclass(frozen=True)
 class Character:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CapExceeded, InputError, PreconditionError
-from .spaces import UltraMetricSpace, Matrix, rational
+from .spaces import UltraMetricSpace, Matrix, as_tuple, rational
 
 # largest group `from_permutations` closes: its table has order^2 entries,
 # and the group axioms are checked in order^2 steps times the generators
@@ -169,7 +169,7 @@ class SeminormTable:
     value: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(map(rational, self.value))
+        vals = tuple(map(rational, as_tuple(self.value, "value")))
         object.__setattr__(self, "value", vals)
         g = self.group
         if len(vals) != g.order:

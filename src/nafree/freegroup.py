@@ -53,14 +53,6 @@ class FreeWord:
                 red.append((p, s))
         object.__setattr__(self, "letters", tuple(red))
 
-    @classmethod
-    def identity(cls, alphabet: int) -> "FreeWord":
-        return cls((), alphabet)
-
-    @classmethod
-    def generator(cls, p: int, alphabet: int, sign: int = 1) -> "FreeWord":
-        return cls(((p, sign),), alphabet)
-
     def __len__(self) -> int:
         return len(self.letters)
 

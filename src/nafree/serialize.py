@@ -161,8 +161,8 @@ def _section(name: str):
 
 def load_workspace(path: str, basepoint: Optional[str] = None) -> Workspace:
     """Read and check a workspace file, the one way from a file to objects:
-    InputError for malformed input, Violation for a broken axiom.  The
-    "options" key is accepted and ignored."""
+    InputError for malformed input, Violation for a broken axiom.  A chain
+    "balls" must be "auto"; the "options" key is accepted and ignored."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -177,6 +177,8 @@ def load_workspace(path: str, basepoint: Optional[str] = None) -> Workspace:
     chain_objs, action_objs = raw.get("chains", {}), raw.get("actions", {})
     if not isinstance(chain_objs, dict) or not isinstance(action_objs, dict):
         raise InputError("'chains' and 'actions' must be objects")
+    if chain_objs.get("balls", "auto") != "auto":
+        raise InputError('chain \'balls\' must be "auto", the ball chain of the space')
     with _section("space"):
         space = parse_space(raw["space"], basepoint)
     aug = extend_with_zero(space)

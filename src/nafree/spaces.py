@@ -8,6 +8,7 @@ partitions and isometry checks compare small ints, and ties stay exact.
 """
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,15 +25,26 @@ _ZERO = Fraction(0)
 def rational(v) -> Fraction:
     """The one reader of exact values: a Fraction as the same object, an int
     that is not a bool, or a string such as "p/q"; anything else, floats and
-    bools included, is an InputError."""
+    bools included, is an InputError, and so is an exponent such as "1e3",
+    since `Fraction` would build 10**exp exactly."""
     if type(v) is Fraction:
         return v
     if isinstance(v, bool) or not isinstance(v, (int, str, Fraction)):
         raise InputError(f"not a rational: {shown(v)}")
+    if isinstance(v, str) and re.search(r"[eE][-+]?\d", v):
+        raise InputError(f"malformed rational {shown(v)}: exponents are not read")
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed rational {shown(v)}: {clip(str(exc))}") from exc
+
+
+def as_tuple(v, what: str) -> tuple:
+    """`v` as a tuple; an InputError naming `what` if it is not iterable."""
+    try:
+        return tuple(v)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence, got {shown(v)}") from None
 
 
 def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -180,8 +192,8 @@ class UltraMetricSpace:
 
     def __post_init__(self):
         table = rank_matrix(self.dist)
-        if not self.names:
-            object.__setattr__(self, "names", tuple(f"x{i}" for i in range(len(table))))
+        names = as_tuple(self.names, "names") or tuple(f"x{i}" for i in range(len(table)))
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "dist", table.dist)
         object.__setattr__(self, "scale", table.scale)
         object.__setattr__(self, "rank", table.rank)
@@ -329,7 +341,7 @@ class PartitionChain:
     levels: tuple[tuple[Fraction, Partition], ...]
 
     def __post_init__(self):
-        levels = tuple((rational(t), p) for t, p in self.levels)
+        levels = tuple((rational(t), p) for t, p in as_tuple(self.levels, "levels"))
         object.__setattr__(self, "levels", levels)
         for (t1, p1), (t2, p2) in zip(levels, levels[1:]):
             if not t2 < t1:

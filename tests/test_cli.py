@@ -95,6 +95,29 @@ def test_norm_cross_block_with_oracle(runner):
     assert any("0" not in pair for pair in out["witness"])
 
 
+NORM_TEXT = "word: ['p', 'q', 'r']\nnorm: 2  (algorithm: fast)\nwitness pairing: [['p', 'q'], ['r', '0']]\n"
+NORM_JSON = '{"algorithm":"fast","basepoint":"p",%s"value":"2","witness":[["p","q"],["r","0"]]}\n'
+SKIPPED = "|supp(u)| = 4 exceeds enumeration cap 2"
+
+
+@pytest.mark.parametrize(
+    "options, text, as_json",
+    [
+        ([], NORM_TEXT, NORM_JSON % ""),
+        (["--check"], NORM_TEXT + "oracle: {'value': '2', 'agrees': True}\n",
+         NORM_JSON % '"oracle":{"agrees":true,"value":"2"},'),
+        (["--check", "--cap", "2"], NORM_TEXT + f"oracle: {{'skipped': '{SKIPPED}'}}\n",
+         NORM_JSON % f'"oracle":{{"skipped":"{SKIPPED}"}},'),
+    ],
+)
+def test_norm_output_is_exact(runner, options, text, as_json):
+    # an oracle past its cap is a note, not a verdict: the command exits 0
+    argv = ["norm", WORKSPACE, '["p","q","r"]', *options]
+    for flags, want in (([], text), (["--json"], as_json)):
+        res = runner.invoke(main, argv + flags)
+        assert (res.exit_code, res.stdout, res.stderr) == (0, want, "")
+
+
 def test_norm_unknown_point(runner):
     res = runner.invoke(main, ["norm", WORKSPACE, '["nope"]'])
     assert res.exit_code == 2
@@ -307,6 +330,17 @@ def test_violation_exits_1_under_validate_and_2_elsewhere(runner, tmp_path, case
     assert res.stdout.startswith("violation: ")
     for command in ("norm", "member", "report"):
         assert_input_error(invoke(runner, argv_for(command, f)))
+
+
+def test_a_balls_chain_other_than_auto_is_an_input_error(runner, tmp_path):
+    # `report` reads "balls" as the ball chain of the space; on this chain
+    # its fbaire row used to fail for want of a separating level
+    chain = {"levels": [{"threshold": "2", "blocks": [["p", "q", "r", "s"]]}]}
+    f = write(tmp_path, bundled_with(chains={"balls": chain}))
+    for argv in [argv_for(command, f) for command in COMMANDS] + [["report", f]]:
+        res = invoke(runner, argv)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == 'input error: chain \'balls\' must be "auto", the ball chain of the space\n'
 
 
 def test_validate_reports_one_violation_for_a_bad_chain(runner, tmp_path):

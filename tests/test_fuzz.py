@@ -16,7 +16,7 @@ from nafree.serialize import format_rational
 BAD_ENTRIES = (True, False, 1.0, 0.5, -1, "-1/2", "1/0", "x", "", None, [1], {"v": 1})
 BAD_NAMES = ("0", 7, None, ["x0"], "x1")  # reserved, not strings, or a duplicate
 MUTATIONS = ("entry", "ragged", "name", "short names", "triangle", "asymmetric", "action",
-             "chain")
+             "chain", "balls chain")
 
 
 def _workspace(rng, n, mutation):
@@ -45,10 +45,12 @@ def _workspace(rng, n, mutation):
         if rng.random() > 0.7:
             perm[0] = "nowhere"
         obj["actions"] = {"a": {"perms": [perm]}}
-    elif mutation == "chain":
+    elif mutation in ("chain", "balls chain"):
         blocks = [rng.sample(names, rng.randint(1, n)) for _ in range(rng.randint(1, 3))]
-        obj["chains"]["c"] = {"levels": [{"threshold": rng.choice(["1", 2, "1/2", -1]),
-                                          "blocks": blocks}]}
+        # "balls" may only be "auto": under that name the chain is an input error
+        name = "balls" if mutation == "balls chain" else "c"
+        obj["chains"][name] = {"levels": [{"threshold": rng.choice(["1", 2, "1/2", -1]),
+                                           "blocks": blocks}]}
     return obj
 
 
@@ -65,7 +67,10 @@ def _word(rng, names, group):
 
 def _requests(rng, obj, path):
     names = [x for x in obj["space"]["points"] if isinstance(x, str)] or ["x0"]
-    out = [["validate", path], ["norm", path, _word(rng, names, "B"), "--check", "--json"]]
+    norm = ["norm", path, _word(rng, names, "B"), "--check", "--json"]
+    if rng.random() > 0.3:
+        norm += ["--basepoint", "nowhere" if rng.random() > 0.7 else rng.choice(names)]
+    out = [["validate", path], norm]
     for group in "BAF":
         level = rng.choice(["0", "1", "-1", "-2", "9"])
         out.append(["member", path, _word(rng, names, group), "-g", group, "--level", level,

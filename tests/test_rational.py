@@ -3,17 +3,22 @@ seminorm value goes through `spaces.rational`.
 
 Each entry point refuses what is not exact (`0.5`, `1.0`), what only
 compares equal to a number (`True`), and malformed spellings, and reads a
-Fraction, an int and a "p/q" string of one value alike.  An AST check keeps
-the reader the one place where `Fraction` reads a caller's value.
+Fraction, an int and a "p/q" string of one value alike.  A string with an
+exponent is refused before `Fraction` could build 10**exp.  An AST check
+keeps the reader the one place where `Fraction` reads a caller's value.
 """
 import ast
+import json
+import time
 from fractions import Fraction
 from importlib import resources
 
 import pytest
+from click.testing import CliRunner
 
 from conftest import aug, split_space_half
 from nafree.boolean import BooleanWord, ball_equals_subgroup
+from nafree.cli import main
 from nafree.errors import InputError, NafreeError
 from nafree.finite_groups import FiniteGroupTable, SeminormTable, subgroup_from_seminorm
 from nafree.freegroup import SymmetrizedSpace
@@ -24,6 +29,7 @@ from nafree.spaces import (
     UltraMetricSpace,
     ball_partition,
     combine_pseudometrics,
+    rational,
     strict_ball_partition,
 )
 
@@ -73,6 +79,32 @@ def test_entry_point_reads_every_spelling_alike(entry):
     f = ENTRY_POINTS[entry]
     assert _outcome(f, Fraction(1, 2)) == _outcome(f, "1/2")
     assert _outcome(f, Fraction(1)) == _outcome(f, 1) == _outcome(f, "1")
+
+
+@pytest.mark.parametrize("spelling", ["1e3", "1E3", "2e-1", "1.5e+2", "1e10000000", " 1e1_0 "])
+def test_exponent_spellings_are_refused_before_fraction_reads_them(spelling):
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="exponents are not read"):
+        rational(spelling)
+    assert time.perf_counter() - start < 1
+
+
+def test_strings_without_an_exponent_read_as_before():
+    assert rational("1.5") == rational("15/10") == Fraction(3, 2)
+    # an "e" that is not an exponent keeps Fraction's message
+    with pytest.raises(InputError, match="Invalid literal for Fraction: 'nope'"):
+        rational("nope")
+
+
+def test_an_exponent_in_a_workspace_exits_2_promptly(tmp_path):
+    dist = [["0", "1e10000000"], ["1e10000000", "0"]]
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({"space": {"points": ["p", "q"], "dist": dist}}))
+    start = time.perf_counter()
+    res = CliRunner().invoke(main, ["validate", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == "input error: malformed rational '1e10000000': exponents are not read\n"
 
 
 def _fraction_calls(tree, reader):

@@ -9,6 +9,7 @@ import pytest
 from conftest import make_space, split_space
 from corpus import corpus, random_ultrametric
 from nafree.errors import InputError, PreconditionError
+from nafree.finite_groups import FiniteGroupTable, SeminormTable
 from nafree.spaces import (
     Partition,
     PartitionChain,
@@ -54,6 +55,19 @@ def test_validate_structural_errors():
         validate_ultrametric([[0, 1], 5])
     with pytest.raises(InputError, match="malformed matrix"):
         combine_pseudometrics([[[0, 1], 5]])
+
+
+@pytest.mark.parametrize(
+    "build, argument",
+    [
+        (lambda: SeminormTable(FiniteGroupTable.cyclic(2), 5), "value"),
+        (lambda: UltraMetricSpace(((0, 1), (1, 0)), names=5), "names"),
+        (lambda: PartitionChain(5), "levels"),
+    ],
+)
+def test_constructor_names_an_argument_that_is_not_a_sequence(build, argument):
+    with pytest.raises(InputError, match=f"^{argument} must be a sequence, got 5$"):
+        build()
 
 
 def test_space_rejects_reserved_zero_name():
