@@ -40,11 +40,11 @@ def rational(v) -> Fraction:
 
 
 def as_tuple(v, what: str) -> tuple:
-    """`v` as a tuple; an InputError naming `what` if it is not iterable."""
-    try:
-        return tuple(v)
-    except TypeError:
-        raise InputError(f"{what} must be a sequence, got {shown(v)}") from None
+    """`v` as a tuple; an InputError naming `what` unless it is a tuple or a
+    list, so a set, a string or a generator is not read in some order."""
+    if not isinstance(v, (tuple, list)):
+        raise InputError(f"{what} must be a list or tuple, got {shown(v)}")
+    return tuple(v)
 
 
 def _as_matrix(rows: Sequence[Sequence]) -> Matrix:

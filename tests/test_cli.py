@@ -302,6 +302,8 @@ MALFORMED = {
     "levels_not_a_list": bundled_with(chains={"bad": {"levels": 5}}),
     "action_not_an_object": bundled_with(actions={"bad": 5}),
     "permutation_wrong_length": bundled_with(actions={"short": {"perms": [["q", "p", "r"]]}}),
+    "reserved_point_name": space_with(points=["p", "q", "0", "s"]),
+    "point_name_not_a_string": space_with(points=["p", "q", 7, "s"]),
 }
 
 VIOLATING = {
@@ -312,6 +314,9 @@ VIOLATING = {
         chains={"bad": {"levels": [{"threshold": 2, "blocks": [["p", "q", "r"], ["r", "s"]]}]}}
     ),
     "non_isometric_action": bundled_with(actions={"bad": {"perms": [["r", "q", "p", "s"]]}}),
+    "asymmetric": space_with(
+        dist=[["0", "1/2", "2", "2"], ["1/2", "0", "2", "2"], ["2", "2", "0", "1"], ["2", "2", "1/2", "0"]]
+    ),
 }
 
 

@@ -2,10 +2,11 @@
 next to a computed verdict, 2 for input errors, and never a traceback."""
 import json
 import os
+import random
 import tempfile
 
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import random_ultrametric
@@ -92,9 +93,19 @@ def _has_verdict(argv, stdout):
     return not all(row["passed"] for row in payload.values())
 
 
+def _every_mutation(test):
+    """Pin each mutation once, with a seed at which it breaks the workspace,
+    so every kind is checked whatever the derandomized draws pick; seed 2
+    also gives a valid action and a valid extra chain."""
+    for mutation, seed in [(m, 0) for m in MUTATIONS] + [("action", 2), ("chain", 2)]:
+        test = example(n=5, mutation=mutation, rng=random.Random(seed))(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(n=st.integers(1, 10), mutation=st.one_of(st.just("none"), st.sampled_from(MUTATIONS)),
        rng=st.randoms(use_true_random=False))
+@_every_mutation
 def test_exit_code_contract(n, mutation, rng):
     obj = _workspace(rng, n, mutation)
     runner = CliRunner()
