@@ -153,10 +153,14 @@ def enumerate_normal_configurations(
 
     Count is (2k-1)!! for |supp(u)| = 2k.
     """
+    return [Configuration(p) for p in _pairings(_capped_support(u, cap))]
+
+
+def _capped_support(u: BooleanWord, cap: int) -> list[int]:
     supp = sorted(support(u))
     if len(supp) > cap:
         raise CapExceeded(f"|supp(u)| = {len(supp)} exceeds enumeration cap {cap}")
-    return [Configuration(p) for p in _pairings(supp)]
+    return supp
 
 
 @dataclass(frozen=True)
@@ -170,17 +174,47 @@ class NormCertificate:
 def graev_norm_bruteforce(
     u: BooleanWord, space: AugmentedSpace, cap: int = DEFAULT_ENUM_CAP
 ) -> NormCertificate:
-    """Minimum d-length over all normal u-configurations."""
+    """Minimum d-length over all normal u-configurations.
+
+    An exhaustive search over the perfect pairings of the support, in the
+    order `_pairings` yields them, on exact distances: a branch is dropped
+    once its largest distance is not below the best pairing found, so the
+    first minimum in that order is the witness.
+    """
     bp = space.base.basepoint
     if u.is_zero():
         return NormCertificate(Fraction(0), Configuration(()), "brute", bp)
-    best_val: Optional[Fraction] = None
-    best_cfg: Optional[Configuration] = None
-    for cfg in enumerate_normal_configurations(u, cap):
-        v = phi(cfg, space)
-        if best_val is None or v < best_val:
-            best_val, best_cfg = v, cfg
-    return NormCertificate(best_val, best_cfg, "brute", bp)
+    supp = _capped_support(u, cap)
+    # `_pairings` yields this pairing first: its d-length bounds the search,
+    # and `phi` checks that the support lies in the space
+    first = Configuration(tuple(zip(supp[::2], supp[1::2])))
+    value, pairs = phi(first, space), first.pairs
+    better = _least_pairing(space.dist, tuple(supp), Fraction(0), value)
+    if better is not None:
+        value, pairs = better
+    return NormCertificate(value, Configuration(pairs), "brute", bp)
+
+
+def _least_pairing(dist, points, top, bound):
+    """The first pairing of `points`, in `_pairings` order, of least d-length
+    strictly below `bound` when `top` is the largest distance paired so far,
+    as (d-length, pairs); None if there is none."""
+    if not points:
+        return top, ()
+    first, rest = points[0], points[1:]
+    row = dist[first]
+    found = None
+    for i, partner in enumerate(rest):
+        v = row[partner]
+        if v < top:
+            v = top
+        if not v < bound:
+            continue
+        tail = _least_pairing(dist, rest[:i] + rest[i + 1 :], v, bound)
+        if tail is not None:
+            bound = tail[0]
+            found = bound, ((first, partner),) + tail[1]
+    return found
 
 
 def graev_norm_fast(u: BooleanWord, space: AugmentedSpace) -> NormCertificate:

@@ -334,6 +334,15 @@ class Partition:
         return len(idx) == len(set(idx))
 
 
+def _level(v, i: int) -> tuple[Fraction, Partition]:
+    """Chain level `i` as (threshold, partition); an InputError naming the
+    level unless it is a list or tuple of a threshold and a Partition."""
+    level = as_tuple(v, f"level {i}")
+    if len(level) != 2 or not isinstance(level[1], Partition):
+        raise InputError(f"level {i} must be a threshold and a Partition, got {shown(v)}")
+    return rational(level[0]), level[1]
+
+
 @dataclass(frozen=True)
 class PartitionChain:
     """Strictly decreasing thresholds with partitions that refine downward."""
@@ -341,7 +350,7 @@ class PartitionChain:
     levels: tuple[tuple[Fraction, Partition], ...]
 
     def __post_init__(self):
-        levels = tuple((rational(t), p) for t, p in as_tuple(self.levels, "levels"))
+        levels = tuple(_level(v, i) for i, v in enumerate(as_tuple(self.levels, "levels")))
         object.__setattr__(self, "levels", levels)
         for (t1, p1), (t2, p2) in zip(levels, levels[1:]):
             if not t2 < t1:

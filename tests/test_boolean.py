@@ -149,6 +149,39 @@ def test_norm_upper_bounds_all_configurations():
             assert val <= phi(cfg, ext)
 
 
+def _first_minimum(u, ext):
+    # the oracle's definition: min keeps the first configuration of least d-length
+    cfg = min(enumerate_normal_configurations(u), key=lambda c: phi(c, ext))
+    return phi(cfg, ext), cfg.pairs
+
+
+def test_bruteforce_certificate_is_the_first_minimum():
+    # with one or two distinct distances ties are common, so a search that let
+    # a later tie replace the first minimum would change the witness
+    rng = random.Random(41)
+    ties = ((Fraction(1),), (Fraction(1, 2), Fraction(1)))
+    spaces = corpus(seed=41, count=40, max_size=8)
+    spaces += [random_ultrametric(rng, size, values) for values in ties for size in range(2, 13)]
+    for sp in spaces:
+        ext = aug(sp)
+        words = list(all_boolean_words(sp.size))
+        if sp.size > 9:  # support 12: a few seeded words
+            words = words[-1:] + rng.sample(words, 3)
+        for u in words:
+            cert = graev_norm_bruteforce(u, ext)
+            want = (Fraction(0), ()) if u.is_zero() else _first_minimum(u, ext)
+            assert (cert.value, cert.witness.pairs) == want, (sp.dist, u)
+
+
+def test_bruteforce_cap_and_range_errors():
+    ext = aug(split_space())
+    with pytest.raises(CapExceeded, match=r"^\|supp\(u\)\| = 4 exceeds enumeration cap 2$"):
+        graev_norm_bruteforce(w({0, 1, 2, 3}), ext, cap=2)
+    # a word over a larger ground set than the space: its zero index 5 is outside
+    with pytest.raises(InputError, match=r"^pair \(2,5\) outside the augmented space$"):
+        graev_norm_bruteforce(w({0, 1, 2}, 5), ext)
+
+
 def test_zero_attaches_at_the_space_basepoint():
     for sp in corpus(seed=77, count=30, max_size=6):
         for b in range(sp.size):

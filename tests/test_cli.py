@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, evidence output and determinism."""
 import gc
+import importlib
 import json
 import random
 import time
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -116,6 +118,55 @@ def test_norm_output_is_exact(runner, options, text, as_json):
     for flags, want in (([], text), (["--json"], as_json)):
         res = runner.invoke(main, argv + flags)
         assert (res.exit_code, res.stdout, res.stderr) == (0, want, "")
+
+
+def _gen_workspace(tmp_path, monkeypatch):
+    # the benchmark's generator: 24 points, six distinct distances, seed 5
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    gen = importlib.import_module("gen")
+    f = tmp_path / "gen24.json"
+    f.write_text(gen.workspace_json(gen.random_space(random.Random(5), 24, 6)))
+    return str(f)
+
+
+def _x(*indices):
+    return [f"x{i}" for i in indices]
+
+
+def _norm_out(word, value, witness, oracle_text, oracle_json, basepoint):
+    text = (f"word: {word}\nnorm: {value}  (algorithm: fast)\nwitness pairing: {witness}\n"
+            f"oracle: {oracle_text}\n")
+    as_json = json.dumps({"algorithm": "fast", "basepoint": basepoint, "oracle": oracle_json,
+                          "value": value, "witness": witness}, separators=(",", ":")) + "\n"
+    return text, as_json
+
+
+CAP_SKIPPED = "|supp(u)| = 14 exceeds enumeration cap 12"
+
+
+@pytest.mark.parametrize(
+    "workspace, word, options, want",
+    [
+        # 11 points and the zero: support 12, exactly the default cap
+        ("gen", _x(*range(11)), [], _norm_out(
+            _x(*range(11)), "4", [_x(0, 1), ["x10", "0"], _x(2, 3), _x(4, 5), _x(6, 7), _x(8, 9)],
+            "{'value': '4', 'agrees': True}", {"agrees": True, "value": "4"}, "x0")),
+        ("gen", _x(*range(13)), [], _norm_out(
+            _x(*range(13)), "4",
+            [_x(0, 1), _x(10, 11), ["x12", "0"], _x(2, 3), _x(4, 5), _x(6, 7), _x(8, 9)],
+            f"{{'skipped': '{CAP_SKIPPED}'}}", {"skipped": CAP_SKIPPED}, "x0")),
+        # support 2 under cap 2: the oracle runs
+        ("bundled", ["p", "q"], ["--cap", "2"], _norm_out(
+            ["p", "q"], "1/2", [["p", "q"]],
+            "{'value': '1/2', 'agrees': True}", {"agrees": True, "value": "1/2"}, "p")),
+    ],
+)
+def test_norm_check_at_the_cap_boundary(runner, tmp_path, monkeypatch, workspace, word, options, want):
+    ws = _gen_workspace(tmp_path, monkeypatch) if workspace == "gen" else WORKSPACE
+    argv = ["norm", ws, json.dumps(word), "--check", *options]
+    for flags, out in (([], want[0]), (["--json"], want[1])):
+        res = runner.invoke(main, argv + flags)
+        assert (res.exit_code, res.stdout, res.stderr) == (0, out, "")
 
 
 def test_norm_unknown_point(runner):

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from corpus import random_ultrametric
 from nafree import freegroup, report
 from nafree.abelian import AbelianWord, enumerate_Bn
+from nafree.boolean import BooleanWord, graev_norm_bruteforce
 from nafree.freegroup import PsiAssignment, v_psi_ball
 from nafree.oracles import abelian_membership_search
 from nafree.report import CLAIMS, run_report
@@ -33,6 +34,7 @@ def test_no_reference_cycles():
     rng = random.Random(7)
     workspaces = [load_workspace(WORKSPACE), _corpus_workspace(rng, 3), _corpus_workspace(rng, 5)]
     indiscrete = Partition.indiscrete(3)
+    ten = extend_with_zero(random_ultrametric(rng, 10))
     calls = [(f"{claim} on {ws.space.size} points", run_report, (ws, claim))
              for ws in workspaces for claim in CLAIMS]
     calls += [
@@ -40,6 +42,8 @@ def test_no_reference_cycles():
         ("v_psi_ball", v_psi_ball, (PsiAssignment(indiscrete), 3, 4)),
         ("abelian_membership_search", abelian_membership_search,
          (AbelianWord(((0, 2), (1, -1), (2, -1)), 3), indiscrete)),
+        ("graev_norm_bruteforce", graev_norm_bruteforce,
+         (BooleanWord(frozenset(range(10)), 10), ten)),
     ]
     gc.collect()
     gc.disable()

@@ -76,6 +76,30 @@ def test_constructor_names_an_argument_that_is_not_a_list_or_tuple(build, argume
     assert str(info.value).startswith(f"{argument} must be a list or tuple, got {got}")
 
 
+TWO = Partition.indiscrete(2)
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        # before, a chain whose partition is the int 5
+        (((1, 5),), "level 0 must be a threshold and a Partition, got (1, 5)"),
+        # before, an AttributeError: 'int' object has no attribute 'refines'
+        (((1, 5), (Fraction(1, 2), 6)), "level 0 must be a threshold and a Partition, got (1, 5)"),
+        (((1, TWO), (Fraction(1, 2), 6)),
+         "level 1 must be a threshold and a Partition, got (Fraction(1, 2), 6)"),
+        # before, a ValueError or a TypeError from unpacking
+        (((1,),), "level 0 must be a threshold and a Partition, got (1,)"),
+        (((1, TWO, 3),), "level 0 must be a threshold and a Partition, got (1, Partition("),
+        ((5,), "level 0 must be a list or tuple, got 5"),
+    ],
+)
+def test_chain_names_a_level_that_is_not_a_threshold_and_a_partition(levels, message):
+    with pytest.raises(InputError) as info:
+        PartitionChain(levels)
+    assert str(info.value).startswith(message)
+
+
 def test_space_rejects_reserved_zero_name():
     with pytest.raises(InputError):
         make_space([[0]], names=("0",))
