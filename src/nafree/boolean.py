@@ -163,6 +163,14 @@ def _capped_support(u: BooleanWord, cap: int) -> list[int]:
     return supp
 
 
+def _basepoint(u: BooleanWord, space: AugmentedSpace) -> int:
+    """The basepoint the norms certify; the word must be over the base points,
+    or its zero index would be a real point of the space."""
+    if u.ground != space.base.size:
+        raise PreconditionError("words over different spaces")
+    return space.base.basepoint
+
+
 @dataclass(frozen=True)
 class NormCertificate:
     value: Fraction
@@ -181,12 +189,11 @@ def graev_norm_bruteforce(
     once its largest distance is not below the best pairing found, so the
     first minimum in that order is the witness.
     """
-    bp = space.base.basepoint
+    bp = _basepoint(u, space)
     if u.is_zero():
         return NormCertificate(Fraction(0), Configuration(()), "brute", bp)
     supp = _capped_support(u, cap)
-    # `_pairings` yields this pairing first: its d-length bounds the search,
-    # and `phi` checks that the support lies in the space
+    # `_pairings` yields this pairing first: its d-length bounds the search
     first = Configuration(tuple(zip(supp[::2], supp[1::2])))
     value, pairs = phi(first, space), first.pairs
     better = _least_pairing(space.dist, tuple(supp), Fraction(0), value)
@@ -225,7 +232,7 @@ def graev_norm_fast(u: BooleanWord, space: AugmentedSpace) -> NormCertificate:
     ultra-metric are transitive).  The norm is the smallest such threshold
     among the pairwise support distances.
     """
-    bp = space.base.basepoint
+    bp = _basepoint(u, space)
     if u.is_zero():
         return NormCertificate(Fraction(0), Configuration(()), "fast", bp)
     supp = sorted(support(u))

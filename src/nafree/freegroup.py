@@ -134,10 +134,10 @@ def _raw_words(points: Sequence[int], max_len: int) -> list[tuple[Letter, ...]]:
 
 
 def _constant_closure(
-    eps: Partition, points: Sequence[int], length_cap: int
+    eps: Partition, words: Sequence[tuple[Letter, ...]]
 ) -> frozenset[tuple[Letter, ...]]:
     """Exact ball of the subgroup generated by conjugated eps-generators, in
-    the free group over `points`.
+    the free group over a point set, given that set's `_raw_words` list.
 
     A reduced word lies in the closure iff deleting some adjacent pair
     x^s y^-s with x, y eps-equivalent (each deletion is right multiplication
@@ -148,7 +148,7 @@ def _constant_closure(
     pass decides every word from words already decided.
     """
     closed: set[tuple[Letter, ...]] = {()}
-    for w in _raw_words(points, length_cap):
+    for w in words:
         for i in range(len(w) - 1):
             (x, s), (y, t) = w[i], w[i + 1]
             if t == -s and eps.same_block(x, y) and _reduce(w[:i] + w[i + 2 :]) in closed:
@@ -168,7 +168,7 @@ def v_psi_ball(psi: PsiAssignment, alphabet: int, length_cap: int) -> frozenset[
     if length_cap > CLOSURE_CAP:
         raise CapExceeded(f"length cap {length_cap} exceeds maximum {CLOSURE_CAP}")
     if not psi.overrides:
-        raw = _constant_closure(psi.default, range(alphabet), length_cap)
+        raw = _constant_closure(psi.default, _raw_words(range(alphabet), length_cap))
         return frozenset(FreeWord(w, alphabet) for w in raw)
     internal = length_cap + CLOSURE_SLACK
     gens: set[tuple[Letter, ...]] = set()
@@ -275,35 +275,38 @@ def _grau_conditions(dbar: SymmetrizedSpace) -> GrauCheck:
 
 def _trivial_sequences(alphabet: tuple[int, ...], length: int, dbar: SymmetrizedSpace):
     """All index sequences of the given length over the alphabet whose word
-    freely reduces to e.  Cached per (alphabet, length)."""
+    freely reduces to e, in alphabet order.  Cached per (alphabet, length).
+    The suffix list `tails(stack, r)` of the sequences of length r that reduce
+    `stack` to e is built once and shared by every prefix reaching `stack`."""
     key = (alphabet, length, dbar.n)
     cache = _trivial_sequences.cache
     if key in cache:
         return cache[key]
-    out: list[tuple[int, ...]] = []
+    e = dbar.e
+    inv = {a: dbar.inv_index(a) for a in alphabet}
+    memo: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {((), 0): [()]}
 
-    def rec(stack: tuple[int, ...], seq: list[int], remaining: int) -> None:
-        if remaining == 0:
-            if not stack:
-                out.append(tuple(seq))
-            return
-        if len(stack) > remaining:
-            return
-        for a in alphabet:
-            if a == dbar.e:
-                nstack = stack
-            elif stack and stack[-1] == dbar.inv_index(a):
-                nstack = stack[:-1]
-            else:
-                nstack = stack + (a,)
-            seq.append(a)
-            rec(nstack, seq, remaining - 1)
-            seq.pop()
+    def tails(stack: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
+        if len(stack) > r:
+            return []
+        out = memo.get((stack, r))
+        if out is None:
+            out = []
+            for a in alphabet:
+                if a == e:
+                    nstack = stack
+                elif stack and stack[-1] == inv[a]:
+                    nstack = stack[:-1]
+                else:
+                    nstack = stack + (a,)
+                out.extend([(a,) + t for t in tails(nstack, r - 1)])
+            memo[stack, r] = out
+        return out
 
-    rec((), [], length)
-    # `rec` holds itself through its closure cell; deleting it breaks the
-    # cycle, so `out` is freed with the cache entry, not by the collector
-    del rec
+    out = tails((), length)
+    # `tails` holds itself through its closure cell; deleting it breaks the
+    # cycle, so the memo is freed on return, not by the collector
+    del tails
     cache[key] = out
     return out
 

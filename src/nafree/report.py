@@ -103,9 +103,9 @@ def _check_l_eps(ws: Workspace) -> tuple[bool, str]:
     for part in ws.chains["balls"].partitions:
         pts = _l_eps_points(part)
         used.append(pts)
-        closure = _constant_closure(part, pts, cap)
         if pts not in words:
             words[pts] = _raw_words(pts, cap)
+        closure = _constant_closure(part, words[pts])
         for w in words[pts]:
             if (not _image(w, part)) != (w in closure):
                 return False, f"kernel mismatch at partition {part.blocks}"

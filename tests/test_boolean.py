@@ -177,9 +177,20 @@ def test_bruteforce_cap_and_range_errors():
     ext = aug(split_space())
     with pytest.raises(CapExceeded, match=r"^\|supp\(u\)\| = 4 exceeds enumeration cap 2$"):
         graev_norm_bruteforce(w({0, 1, 2, 3}), ext, cap=2)
-    # a word over a larger ground set than the space: its zero index 5 is outside
+    # a pair outside the space: the norms refuse such a word first (below)
     with pytest.raises(InputError, match=r"^pair \(2,5\) outside the augmented space$"):
-        graev_norm_bruteforce(w({0, 1, 2}, 5), ext)
+        phi(Configuration(((0, 1), (2, 5))), ext)
+
+
+@pytest.mark.parametrize("norm", [graev_norm_fast, graev_norm_bruteforce])
+def test_norms_refuse_a_word_over_another_ground(norm):
+    # over ground 3 the padding index 3 is the point s of the 4-point space,
+    # not its zero, so {p} would read as the pair (p, s) of norm 2, not 1
+    ext = aug(split_space())
+    assert norm(w({0}), ext).value == 1
+    for u in (w({0}, 3), w({0, 1, 2}, 5), w(set(), 3)):
+        with pytest.raises(PreconditionError, match=r"^words over different spaces$"):
+            norm(u, ext)
 
 
 def test_zero_attaches_at_the_space_basepoint():

@@ -14,6 +14,7 @@ from nafree.freegroup import (
     PsiAssignment,
     SymmetrizedSpace,
     _raw_words,
+    _trivial_sequences,
     check_grau_conditions,
     eps_tilde_membership,
     fg_invert,
@@ -23,6 +24,7 @@ from nafree.freegroup import (
     project_to_boolean,
     quotient_hom,
     v_psi_ball,
+    word_alphabet,
 )
 from nafree.spaces import Partition
 
@@ -225,6 +227,29 @@ def test_delta_cap_and_conditions_enforced():
     bad = SymmetrizedSpace(1, tuple(tuple(Fraction(v) for v in r) for r in bad_rows))
     with pytest.raises(PreconditionError):
         graev_delta_bruteforce(FreeWord((), 1), FreeWord((), 1), bad)
+
+
+def test_trivial_sequences_equal_the_filtered_product():
+    # the oracle: every sequence over the alphabet, kept when its word with
+    # the e letters dropped freely reduces to e, in itertools.product order
+    _trivial_sequences.cache.clear()
+    for n in (1, 2, 3):
+        dbar = discrete_dbar(n)
+        letter = {i: (i % n, 1 if i < n else -1) for i in range(2 * n)}
+        alphabets = {
+            word_alphabet(FreeWord(tuple((p, 1) for p in used), n), dbar, extra)
+            for k in range(n + 1)
+            for used in itertools.combinations(range(n), k)
+            for extra in ((), *itertools.combinations(range(n), 1), tuple(range(n)))
+        }
+        for alphabet, length in itertools.product(sorted(alphabets), range(7)):
+            want = [
+                seq for seq in itertools.product(alphabet, repeat=length)
+                if FreeWord(tuple(letter[i] for i in seq if i != dbar.e), n).is_identity()
+            ]
+            got = _trivial_sequences(alphabet, length, dbar)
+            assert got == want, (n, alphabet, length)
+            assert _trivial_sequences(alphabet, length, dbar) is got
 
 
 def test_projections():

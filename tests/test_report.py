@@ -8,11 +8,12 @@ from importlib import resources
 
 from click.testing import CliRunner
 
+from conftest import discrete_dbar
 from corpus import random_ultrametric
 from nafree import freegroup, report
 from nafree.abelian import AbelianWord, enumerate_Bn
 from nafree.boolean import BooleanWord, graev_norm_bruteforce
-from nafree.freegroup import PsiAssignment, v_psi_ball
+from nafree.freegroup import FreeWord, PsiAssignment, graev_delta_bruteforce, v_psi_ball
 from nafree.oracles import abelian_membership_search
 from nafree.report import CLAIMS, run_report
 from nafree.cli import main
@@ -35,6 +36,12 @@ def test_no_reference_cycles():
     workspaces = [load_workspace(WORKSPACE), _corpus_workspace(rng, 3), _corpus_workspace(rng, 5)]
     indiscrete = Partition.indiscrete(3)
     ten = extend_with_zero(random_ultrametric(rng, 10))
+    six = FreeWord(((0, 1), (1, 1), (2, -1), (0, 1), (1, -1), (2, 1)), 3)
+
+    def delta_on_an_empty_cache(u, v, dbar):
+        freegroup._trivial_sequences.cache.clear()
+        return graev_delta_bruteforce(u, v, dbar)
+
     calls = [(f"{claim} on {ws.space.size} points", run_report, (ws, claim))
              for ws in workspaces for claim in CLAIMS]
     calls += [
@@ -44,6 +51,7 @@ def test_no_reference_cycles():
          (AbelianWord(((0, 2), (1, -1), (2, -1)), 3), indiscrete)),
         ("graev_norm_bruteforce", graev_norm_bruteforce,
          (BooleanWord(frozenset(range(10)), 10), ten)),
+        ("graev_delta_bruteforce", delta_on_an_empty_cache, (FreeWord((), 3), six, discrete_dbar(3))),
     ]
     gc.collect()
     gc.disable()
