@@ -13,23 +13,13 @@ from typing import Optional, Sequence
 from .abelian import AbelianWord
 from .boolean import BooleanWord
 from .errors import CapExceeded, InputError, PreconditionError, shown
+from .oracles import deletion_closure
 from .spaces import Matrix, Partition, RankedMatrix, Ranks, rank_matrix, validate_ultrametric
 
 Letter = tuple[int, int]
 
 CLOSURE_CAP = 8  # longest words in a computed subgroup ball
 DELTA_CAP = 6  # longest reduced u^-1 v the brute-force delta accepts
-CLOSURE_SLACK = 2
-
-
-def _reduce(letters: Sequence[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for p, s in letters:
-        if out and out[-1][0] == p and out[-1][1] == -s:
-            out.pop()
-        else:
-            out.append((p, s))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -70,19 +60,40 @@ def fg_invert(u: FreeWord) -> FreeWord:
     return FreeWord(tuple((p, -s) for p, s in reversed(u.letters)), u.alphabet)
 
 
-def _image(letters: Sequence[Letter], eps: Partition) -> list[Letter]:
+def _push(image: tuple[Letter, ...], letter: Letter) -> tuple[Letter, ...]:
+    """The reduced word image * letter, for a reduced image: one step of
+    free reduction."""
+    b, s = letter
+    if image and image[-1] == (b, -s):
+        return image[:-1]
+    return image + (letter,)
+
+
+def _image(letters: Sequence[Letter], eps: Partition) -> tuple[Letter, ...]:
     """The reduced image of a letter sequence over eps's ground set in the
-    free group over its blocks: one stack pass that maps each letter to its
-    block and cancels as it goes."""
+    free group over its blocks: each letter mapped to its block and pushed."""
     block = eps.block_index
-    out: list[Letter] = []
+    out: tuple[Letter, ...] = ()
     for p, s in letters:
-        b = block(p)
-        if out and out[-1] == (b, -s):
-            out.pop()
-        else:
-            out.append((b, s))
+        out = _push(out, (block(p), s))
     return out
+
+
+def _kernel(words: Sequence[tuple[Letter, ...]], eps: Partition) -> list[tuple[Letter, ...]]:
+    """The words of a breadth-first `_raw_words` list, in order, whose image
+    over eps's blocks is e.  Each word's image is its parent's with the last
+    letter pushed; the parent, the word without its last letter, is listed
+    earlier, and the parents of successive words come in list order."""
+    block = eps.block_index
+    images: list[tuple[Letter, ...]] = [()]
+    q = 0
+    for w in words[1:]:
+        parent = w[:-1]
+        while words[q] != parent:
+            q += 1
+        p, s = w[-1]
+        images.append(_push(images[q], (block(p), s)))
+    return [w for w, image in zip(words, images) if not image]
 
 
 def quotient_hom(w: FreeWord, eps: Partition) -> FreeWord:
@@ -90,7 +101,7 @@ def quotient_hom(w: FreeWord, eps: Partition) -> FreeWord:
     onto the free group over the blocks."""
     if w.alphabet != eps.ground:
         raise PreconditionError("word alphabet does not match the partition")
-    return FreeWord(tuple(_image(w.letters, eps)), len(eps.blocks))
+    return FreeWord(_image(w.letters, eps), len(eps.blocks))
 
 
 def eps_tilde_membership(w: FreeWord, eps: Partition) -> bool:
@@ -101,97 +112,33 @@ def eps_tilde_membership(w: FreeWord, eps: Partition) -> bool:
     return not _image(w.letters, eps)
 
 
-@dataclass(frozen=True)
-class PsiAssignment:
-    """Finitely supported assignment of a partition to every free word."""
-
-    default: Partition
-    overrides: tuple[tuple[FreeWord, Partition], ...] = ()
-
-    def at(self, w: FreeWord) -> Partition:
-        for key, part in self.overrides:
-            if key == w:
-                return part
-        return self.default
-
-
 def _raw_words(points: Sequence[int], max_len: int) -> list[tuple[Letter, ...]]:
     """All freely reduced letter tuples over `points` of length <= max_len,
     breadth first."""
+    steps = [(((p, s),), (p, -s)) for p in points for s in (1, -1)]  # (letter, its inverse)
     out: list[tuple[Letter, ...]] = [()]
     frontier: list[tuple[Letter, ...]] = [()]
     for _ in range(max_len):
         nxt = []
         for w in frontier:
-            for p in points:
-                for s in (1, -1):
-                    if w and w[-1] == (p, -s):
-                        continue
-                    nxt.append(w + ((p, s),))
+            last = w[-1] if w else None
+            for step, inverse in steps:
+                if last != inverse:
+                    nxt.append(w + step)
         out.extend(nxt)
         frontier = nxt
     return out
 
 
-def _constant_closure(
-    eps: Partition, words: Sequence[tuple[Letter, ...]]
-) -> frozenset[tuple[Letter, ...]]:
-    """Exact ball of the subgroup generated by conjugated eps-generators, in
-    the free group over a point set, given that set's `_raw_words` list.
-
-    A reduced word lies in the closure iff deleting some adjacent pair
-    x^s y^-s with x, y eps-equivalent (each deletion is right multiplication
-    by an inverse conjugated generator) leads to the empty word.  Any
-    shorter representative is reachable this way, so within the cap the
-    search is complete, not merely a semi-decision.  A deletion leaves a
-    shorter word, which `_raw_words` lists earlier, so one breadth-first
-    pass decides every word from words already decided.
-    """
-    closed: set[tuple[Letter, ...]] = {()}
-    for w in words:
-        for i in range(len(w) - 1):
-            (x, s), (y, t) = w[i], w[i + 1]
-            if t == -s and eps.same_block(x, y) and _reduce(w[:i] + w[i + 2 :]) in closed:
-                closed.add(w)
-                break
-    return frozenset(closed)
-
-
-def v_psi_ball(psi: PsiAssignment, alphabet: int, length_cap: int) -> frozenset[FreeWord]:
-    """Ball of the subgroup generated by {w g w^-1 : g an in-block pair}.
-
-    For a constant assignment the ball is computed exactly (deletion search,
-    see _constant_closure).  For finitely many overrides the closure is a
-    bounded semi-decision: presence proves membership, absence at the cap
-    proves nothing.
-    """
+def v_psi_ball(eps: Partition, alphabet: int, length_cap: int) -> frozenset[FreeWord]:
+    """Ball of the subgroup generated by {w g w^-1 : g an in-block pair of
+    eps}, by the exact deletion search `oracles.deletion_closure`."""
+    if alphabet != eps.ground:
+        raise PreconditionError("word alphabet does not match the partition")
     if length_cap > CLOSURE_CAP:
         raise CapExceeded(f"length cap {length_cap} exceeds maximum {CLOSURE_CAP}")
-    if not psi.overrides:
-        raw = _constant_closure(psi.default, _raw_words(range(alphabet), length_cap))
-        return frozenset(FreeWord(w, alphabet) for w in raw)
-    internal = length_cap + CLOSURE_SLACK
-    gens: set[tuple[Letter, ...]] = set()
-    for w in _raw_words(range(alphabet), length_cap // 2 + 1):
-        part = psi.at(FreeWord(w, alphabet))
-        winv = tuple((p, -s) for p, s in reversed(w))
-        for block in part.blocks:
-            for x, y in itertools.combinations(sorted(block), 2):
-                for pair in (((x, -1), (y, 1)), ((x, 1), (y, -1)),
-                             ((y, -1), (x, 1)), ((y, 1), (x, -1))):
-                    conj = _reduce(w + pair + winv)
-                    if conj and len(conj) <= internal:
-                        gens.add(conj)
-    visited: set[tuple[Letter, ...]] = {()} | gens
-    queue = list(visited)
-    while queue:
-        w = queue.pop()
-        for g in gens:
-            nxt = _reduce(w + g)
-            if len(nxt) <= internal and nxt not in visited:
-                visited.add(nxt)
-                queue.append(nxt)
-    return frozenset(FreeWord(w, alphabet) for w in visited if len(w) <= length_cap)
+    raw = deletion_closure(eps, _raw_words(range(alphabet), length_cap))
+    return frozenset(FreeWord(w, alphabet) for w in raw)
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,20 @@
 
 These deliberately avoid the decision procedures they certify: the Boolean
 oracle closes the generator set under addition, the abelian oracle searches
-bounded integer combinations, the strong-triangle oracle scans every triple
-of points, and the ball oracle compares exact distances pair by pair.
+bounded integer combinations, the free-group oracle deletes in-block pairs,
+the strong-triangle oracle scans every triple of points, and the ball oracle
+compares exact distances pair by pair.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Optional, Sequence
 
 from .abelian import AbelianWord, ab_add, ab_negate, lh
 from .boolean import BooleanWord, bool_add
 from .spaces import Matrix, Partition
+
+FreeLetters = tuple[tuple[int, int], ...]  # a reduced word of (point, sign) letters
 
 
 def strong_triangle_scan(m: Matrix) -> Optional[tuple[int, int, int]]:
@@ -95,3 +98,38 @@ def _combination_reaches(
         if _combination_reaches(w, gens, i + 1, term, budget - abs(c)):
             return True
     return False
+
+
+def deletion_closure(eps: Partition, words: Sequence[FreeLetters]) -> list[FreeLetters]:
+    """The words, in order, of the subgroup of the free group generated by
+    the conjugated eps-generators, given a breadth-first list of reduced
+    words that holds every such word up to its length cap: a
+    `freegroup._raw_words` list, or the closure of a coarser partition over
+    one.
+
+    A reduced word lies in the closure iff deleting some adjacent pair
+    x^s y^-s with x, y eps-equivalent (each deletion is right multiplication
+    by an inverse conjugated generator) leads to the empty word.  Any
+    shorter representative is reachable this way, so within the cap the
+    search is complete, not merely a semi-decision.  A deletion leaves a
+    shorter word, which the list holds earlier, so one pass decides every
+    word from words already decided.  A finer partition allows a subset of
+    the deletions, so its closure lies inside a coarser one's.
+    """
+    block = {p: i for i, b in enumerate(eps.blocks) for p in b}
+    closed = dict.fromkeys([()])  # an ordered set
+    for w in words:
+        n = len(w)
+        for i in range(n - 1):
+            (x, s), (y, t) = w[i], w[i + 1]
+            if t == -s and block[x] == block[y]:
+                # w is reduced, so only the letters that meet across the
+                # gap can cancel
+                j, k = i, i + 2
+                while j and k < n and w[j - 1] == (w[k][0], -w[k][1]):
+                    j -= 1
+                    k += 1
+                if w[:j] + w[k:] in closed:
+                    closed[w] = None
+                    break
+    return list(closed)

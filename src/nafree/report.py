@@ -26,7 +26,8 @@ from .boolean import (
 from .duality import universal_extension
 from .errors import PreconditionError, shown
 from .finite_groups import FiniteGroupTable
-from .freegroup import _constant_closure, _image, _raw_words
+from .freegroup import _kernel, _raw_words
+from .oracles import deletion_closure
 from .serialize import Workspace, format_rational
 from .spaces import Partition
 
@@ -95,21 +96,23 @@ def _l_eps_points(part: Partition) -> tuple[int, ...]:
 
 def _check_l_eps(ws: Workspace) -> tuple[bool, str]:
     """The kernel identity at every chain level, on words over a bounded
-    set of the level's points, so the row's cost does not grow with n."""
+    set of the level's points, so the row's cost does not grow with n.
+    Levels run coarse to fine, so each level's closure is searched inside
+    the closure of the last coarser level on the same points."""
     cap = 4
     count = 0
     used = []
     words: dict[tuple[int, ...], list] = {}  # levels often share their points
+    inside: dict[tuple[int, ...], list] = {}  # the last closure on those points
     for part in ws.chains["balls"].partitions:
         pts = _l_eps_points(part)
         used.append(pts)
         if pts not in words:
-            words[pts] = _raw_words(pts, cap)
-        closure = _constant_closure(part, words[pts])
-        for w in words[pts]:
-            if (not _image(w, part)) != (w in closure):
-                return False, f"kernel mismatch at partition {part.blocks}"
-            count += 1
+            words[pts] = inside[pts] = _raw_words(pts, cap)
+        inside[pts] = closed = deletion_closure(part, inside[pts])
+        if _kernel(words[pts], part) != closed:
+            return False, f"kernel mismatch at partition {part.blocks}"
+        count += len(words[pts])
     detail = f"{count} word/partition checks at cap {cap}"
     if ws.space.size > L_EPS_POINTS:
         names = ws.space.names

@@ -1,4 +1,4 @@
-"""Free group words, quotient kernels, [V_psi] balls and the Graev delta."""
+"""Free group words, quotient kernels, the deletion closure and the Graev delta."""
 import itertools
 import random
 from fractions import Fraction
@@ -11,8 +11,9 @@ from nafree.boolean import BooleanWord
 from nafree.errors import CapExceeded, InputError, PreconditionError
 from nafree.freegroup import (
     FreeWord,
-    PsiAssignment,
     SymmetrizedSpace,
+    _image,
+    _kernel,
     _raw_words,
     _trivial_sequences,
     check_grau_conditions,
@@ -26,6 +27,7 @@ from nafree.freegroup import (
     v_psi_ball,
     word_alphabet,
 )
+from nafree.oracles import deletion_closure
 from nafree.spaces import Partition
 
 
@@ -128,30 +130,59 @@ def test_kernel_chain_inclusion():
 def test_v_psi_ball_constant_matches_kernel():
     for n in (2, 3):
         for part in all_partitions(n):
-            ball = v_psi_ball(PsiAssignment(part), n, 4)
+            ball = v_psi_ball(part, n, 4)
             for w in [FreeWord(t, n) for t in _raw_words(range(n), 4)]:
                 assert (w in ball) == eps_tilde_membership(w, part)
 
 
 def test_v_psi_ball_trivial_cases():
     sing = Partition.discrete(3)
-    assert v_psi_ball(PsiAssignment(sing), 3, 4) == frozenset({FreeWord((), 3)})
+    assert v_psi_ball(sing, 3, 4) == frozenset({FreeWord((), 3)})
     whole = Partition.indiscrete(3)
-    assert v_psi_ball(PsiAssignment(whole), 3, 0) == frozenset({FreeWord((), 3)})
+    assert v_psi_ball(whole, 3, 0) == frozenset({FreeWord((), 3)})
     with pytest.raises(CapExceeded):
-        v_psi_ball(PsiAssignment(whole), 3, 99)
+        v_psi_ball(whole, 3, 99)
+    for alphabet in (2, 4):
+        with pytest.raises(PreconditionError):
+            v_psi_ball(whole, alphabet, 4)
 
 
-def test_v_psi_ball_with_override_semi_decides():
-    # only the conjugator z = generator 2 carries a non-trivial partition,
-    # so the generators of [V_psi] are exactly the z-conjugated pairs
-    joined = Partition((frozenset({0, 1}), frozenset({2})), 3)
-    sing = Partition.discrete(3)
-    psi = PsiAssignment(sing, ((FreeWord(((2, 1),), 3), joined),))
-    ball = v_psi_ball(psi, 3, 4)
-    conj = fw([(2, 1), (0, 1), (1, -1), (2, -1)])
-    assert conj in ball
-    assert fw([(0, 1), (1, -1)]) not in ball
+def test_raw_words_are_the_reduced_words_breadth_first():
+    for n in range(4):
+        letters = [(p, s) for p in range(n) for s in (1, -1)]
+        want = [
+            t for k in range(5) for t in itertools.product(letters, repeat=k)
+            if FreeWord(t, n).letters == t
+        ]
+        assert _raw_words(range(n), 4) == want
+
+
+def _closure_by_definition(eps, words, n):
+    """The deletion search re-reducing each word with the pair deleted."""
+    closed = {()}
+    for w in words:
+        for i in range(len(w) - 1):
+            (x, s), (y, t) = w[i], w[i + 1]
+            if t == -s and eps.same_block(x, y) and FreeWord(w[:i] + w[i + 2:], n).letters in closed:
+                closed.add(w)
+                break
+    return [w for w in words if w in closed]
+
+
+def test_deletion_closure_equals_the_definition():
+    # cancelling only across the gap is the reduction of the shortened word,
+    # and a finer partition's closure, searched inside a coarser one's, is
+    # its closure over all words
+    for n in range(1, 5):
+        words = _raw_words(range(n), 4)
+        closures = {part: deletion_closure(part, words) for part in all_partitions(n)}
+        for part, closed in closures.items():
+            assert closed == _closure_by_definition(part, words, n)
+            assert _kernel(words, part) == closed
+            assert closed == [w for w in words if not _image(w, part)]
+        for fine, coarse in itertools.permutations(closures, 2):
+            if fine.refines(coarse):
+                assert deletion_closure(fine, closures[coarse]) == closures[fine]
 
 
 def _dbar_from_pairs(n, entries, default=Fraction(2)):

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and the oracles import no
+rule they certify.
 
 `__init__.py` is left out: its imports are the package's public re-exports.
 A name counts as used if it occurs as a name in the module, also inside an
@@ -49,3 +50,28 @@ def _used(tree: ast.Module) -> set[str]:
 def test_every_import_is_used(module):
     tree = ast.parse((resources.files("nafree") / module).read_text())
     assert sorted(_imported(tree) - _used(tree)) == []
+
+
+# the decision procedures the oracles certify, and what an oracle may use:
+# the word types, their arithmetic, Partition and the distance matrix type
+CERTIFIED = {
+    "_image", "eps_tilde_membership", "quotient_hom", "graev_norm_fast",
+    "eps_subgroup_membership", "ab_eps_membership", "_ball_classes",
+}
+ORACLE_MAY_IMPORT = {
+    "AbelianWord", "ab_add", "ab_negate", "lh", "BooleanWord", "bool_add", "Partition", "Matrix",
+}
+
+
+def test_oracles_import_no_rule_they_certify():
+    # an oracle that called the rule it checks would agree with it by
+    # construction
+    tree = ast.parse((resources.files("nafree") / "oracles.py").read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nafree")):
+            package.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("nafree") for a in node.names)
+    assert package.isdisjoint(CERTIFIED)
+    assert package <= ORACLE_MAY_IMPORT

@@ -13,7 +13,7 @@ from corpus import random_ultrametric
 from nafree import freegroup, report
 from nafree.abelian import AbelianWord, enumerate_Bn
 from nafree.boolean import BooleanWord, graev_norm_bruteforce
-from nafree.freegroup import FreeWord, PsiAssignment, graev_delta_bruteforce, v_psi_ball
+from nafree.freegroup import FreeWord, graev_delta_bruteforce, v_psi_ball
 from nafree.oracles import abelian_membership_search
 from nafree.report import CLAIMS, run_report
 from nafree.cli import main
@@ -46,7 +46,7 @@ def test_no_reference_cycles():
              for ws in workspaces for claim in CLAIMS]
     calls += [
         ("enumerate_Bn", enumerate_Bn, (3, 3)),
-        ("v_psi_ball", v_psi_ball, (PsiAssignment(indiscrete), 3, 4)),
+        ("v_psi_ball", v_psi_ball, (indiscrete, 3, 4)),
         ("abelian_membership_search", abelian_membership_search,
          (AbelianWord(((0, 2), (1, -1), (2, -1)), 3), indiscrete)),
         ("graev_norm_bruteforce", graev_norm_bruteforce,
@@ -69,7 +69,19 @@ def test_l_eps_row_fails_on_a_wrong_kernel(monkeypatch):
     # the quotient onto one block: its kernel is all of the even words,
     # larger than the closure at every finer level of the ball chain
     monkeypatch.setattr(
-        report, "_image", lambda w, eps: freegroup._image(w, Partition.indiscrete(eps.ground))
+        report, "_kernel", lambda words, eps: freegroup._kernel(words, Partition.indiscrete(eps.ground))
+    )
+    row = run_report(ws, "l_eps")["l_eps"]
+    assert not row["passed"]
+    assert row["detail"].startswith("kernel mismatch at partition")
+
+
+def test_l_eps_row_fails_on_a_wrong_closure(monkeypatch):
+    ws = load_workspace(WORKSPACE)
+    # an oracle that closes every even-length word agrees with no quotient
+    # but the one onto a single block, which no finer level is
+    monkeypatch.setattr(
+        report, "deletion_closure", lambda eps, words: [w for w in words if len(w) % 2 == 0]
     )
     row = run_report(ws, "l_eps")["l_eps"]
     assert not row["passed"]
