@@ -13,13 +13,12 @@ from .boolean import (
     NormCertificate,
     bool_add,
     eps_subgroup_membership,
-    graev_metric,
     graev_norm_bruteforce,
     graev_norm_fast,
     lift_action,
     support,
 )
-from .duality import ClopenAlgebra, Character, dual_group, evaluation_delta, universal_extension
+from .duality import Character, dual_group, evaluation_delta, universal_extension
 from .errors import CapExceeded, InputError, NafreeError, PreconditionError
 from .finite_groups import FiniteGroupTable, IsometricAction, SeminormTable
 from .freegroup import FreeWord, eps_tilde_membership, fg_invert, fg_multiply, quotient_hom

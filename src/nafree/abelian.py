@@ -72,6 +72,8 @@ def lh(w: AbelianWord) -> int:
 def class_sums(w: AbelianWord, eps: Partition) -> tuple[int, ...]:
     """Per-block coefficient sums: the image of w in the free abelian group
     over the blocks."""
+    if w.ground != eps.ground:
+        raise PreconditionError("word ground set does not match the partition")
     return eps.block_sums(w.coeffs)
 
 
@@ -116,6 +118,8 @@ def bn_avoidance_check(w: AbelianWord, n: int, base: PartitionChain) -> Avoidanc
     enumerating the whole ball."""
     if lh(w) <= n:
         raise PreconditionError(f"lh(w) = {lh(w)} must exceed n = {n}")
+    if any(part.ground != w.ground for part in base.partitions):
+        raise PreconditionError("word ground set does not match the chain")
     eps = base.separating_level(w.supp())
     if eps is None:
         raise PreconditionError("no chain level separates the support of w")
@@ -132,6 +136,8 @@ def bn_interior_witness(w: AbelianWord, n: int, eps: Partition) -> AbelianWord:
     """
     if lh(w) > n:
         raise PreconditionError(f"lh(w) = {lh(w)} must be <= n = {n}")
+    if w.ground != eps.ground:
+        raise PreconditionError("word ground set does not match the partition")
     supp = w.supp()
     for block in eps.blocks:
         if len(block) < 2:

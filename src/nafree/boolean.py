@@ -247,29 +247,19 @@ def graev_norm_fast(u: BooleanWord, space: AugmentedSpace) -> NormCertificate:
     raise AssertionError("even support size guarantees a feasible threshold")
 
 
-def graev_metric(u: BooleanWord, v: BooleanWord, space: AugmentedSpace) -> Fraction:
-    """The norm metric ||u + v||; translation invariant."""
-    return graev_norm_fast(bool_add(u, v), space).value
-
-
 def eps_subgroup_membership(u: BooleanWord, eps: Partition) -> bool:
     """u lies in the subgroup generated by {x+y : x,y epsilon-equivalent}
     iff every block holds an even number of points of u."""
+    if u.ground != eps.ground:
+        raise PreconditionError("word ground set does not match the partition")
     return all(c % 2 == 0 for c in eps.block_sums(zip(u.points, itertools.repeat(1))))
-
-
-def separating_entourage(u: BooleanWord, base: PartitionChain) -> Optional[Partition]:
-    """Coarsest chain level separating the points of u pairwise, or None."""
-    if u.is_zero():
-        raise PreconditionError("the zero word has nothing to separate")
-    return base.separating_level(u.points)
 
 
 def closedness_witness(u: BooleanWord, base: PartitionChain) -> Optional[Partition]:
     """A chain level whose coset u + <eps> misses the embedded copy of X.
 
     Verified exactly: eps_subgroup_membership(u + {x}, eps) must fail for
-    every base point x.
+    every base point x, so a chain over another ground set is refused.
     """
     if len(u) == 1:
         raise PreconditionError("u is in the image of X; no witness exists")

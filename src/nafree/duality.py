@@ -23,17 +23,6 @@ LOCAL_BASE_CAP = 4096  # most homomorphisms F(X/eps) -> Q listed
 
 
 @dataclass(frozen=True)
-class ClopenAlgebra:
-    """All subsets of 0..ground-1 as a Boolean group under xor of bitmasks."""
-
-    ground: int
-
-    @property
-    def order(self) -> int:
-        return 1 << self.ground
-
-
-@dataclass(frozen=True)
 class Character:
     """A homomorphism from the clopen algebra to Z_2, stored as the subset S
     with chi_S(f) = |S & f| mod 2."""
@@ -50,15 +39,17 @@ class Character:
         return Character(self.mask ^ other.mask, self.ground)
 
 
-def dual_group(algebra: ClopenAlgebra) -> list[Character]:
-    """All 2^n characters; additivity holds by construction of the bitmask
-    pairing and is spot-verified here."""
-    if algebra.ground > DUAL_CAP:
-        raise CapExceeded(f"ground size {algebra.ground} exceeds cap {DUAL_CAP}")
-    chars = [Character(s, algebra.ground) for s in range(algebra.order)]
+def dual_group(ground: int) -> list[Character]:
+    """All 2^n characters of the clopen algebra of 0..ground-1, the bitmasks
+    under xor; additivity holds by construction of the bitmask pairing and
+    is spot-verified here."""
+    if ground > DUAL_CAP:
+        raise CapExceeded(f"ground size {ground} exceeds cap {DUAL_CAP}")
+    order = 1 << ground
+    chars = [Character(s, ground) for s in range(order)]
     for chi in chars:
-        for f, g in ((1, 1), (algebra.order - 1, 1)):
-            f %= algebra.order
+        for f, g in ((1, 1), (order - 1, 1)):
+            f %= order
             if chi(f ^ g) != (chi(f) + chi(g)) % 2:
                 raise AssertionError("character additivity broke")
     return chars
@@ -136,10 +127,6 @@ class QuotientHom:
         """Membership of w in the pulled-back kernel subgroup of F(X)."""
         return self.image_of_block_word(quotient_hom(w, self.eps)) == self.target.identity
 
-    @property
-    def index_bound(self) -> int:
-        return self.target.order
-
 
 def local_base_SPro(eps: Partition, target: FiniteGroupTable) -> list[QuotientHom]:
     """All homomorphisms F(X/eps) -> Q as generator assignments."""
@@ -160,13 +147,6 @@ class InverseSystem:
 
     chain: PartitionChain
 
-    @property
-    def depth(self) -> int:
-        return len(self.chain)
-
-    def level_group_size(self, i: int) -> int:
-        return len(self.chain.partitions[i].blocks)
-
     def bond(self, i: int, u: BooleanWord) -> BooleanWord:
         """Send an element of B(X/eps_{i+1}) to B(X/eps_i): the projection
         of the fine blocks' representatives."""
@@ -175,12 +155,6 @@ class InverseSystem:
             raise PreconditionError("element is not over the finer quotient")
         reps = frozenset(min(fine.blocks[b]) for b in u.points)
         return self.project_from_base(BooleanWord(reps, fine.ground), i)
-
-    def skip_bond(self, i: int, j: int, u: BooleanWord) -> BooleanWord:
-        """Compose consecutive bonds from level j down to level i (i <= j)."""
-        for level in range(j - 1, i - 1, -1):
-            u = self.bond(level, u)
-        return u
 
     def project_from_base(self, u: BooleanWord, i: int) -> BooleanWord:
         """Image of an element of B(X) in the level-i quotient."""
@@ -191,9 +165,10 @@ class InverseSystem:
     def thread_check(self, thread: Sequence[BooleanWord]) -> bool:
         """Accept exactly bond-consistent sequences, one element per level,
         ordered coarse to fine."""
-        if len(thread) != self.depth:
+        parts = self.chain.partitions
+        if len(thread) != len(parts):
             raise PreconditionError("thread length must equal the chain depth")
-        for i, u in enumerate(thread):
-            if u.ground != self.level_group_size(i):
+        for i, (u, part) in enumerate(zip(thread, parts)):
+            if u.ground != len(part.blocks):
                 raise PreconditionError(f"thread entry {i} is over the wrong quotient")
-        return all(self.bond(i, thread[i + 1]) == thread[i] for i in range(self.depth - 1))
+        return all(self.bond(i, thread[i + 1]) == thread[i] for i in range(len(parts) - 1))

@@ -11,7 +11,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .abelian import AbelianWord
-from .boolean import BooleanWord
 from .errors import CapExceeded, InputError, PreconditionError, shown
 from .oracles import deletion_closure
 from .spaces import Matrix, Partition, RankedMatrix, Ranks, rank_matrix, validate_ultrametric
@@ -130,15 +129,14 @@ def _raw_words(points: Sequence[int], max_len: int) -> list[tuple[Letter, ...]]:
     return out
 
 
-def v_psi_ball(eps: Partition, alphabet: int, length_cap: int) -> frozenset[FreeWord]:
+def v_psi_ball(eps: Partition, length_cap: int) -> frozenset[FreeWord]:
     """Ball of the subgroup generated by {w g w^-1 : g an in-block pair of
-    eps}, by the exact deletion search `oracles.deletion_closure`."""
-    if alphabet != eps.ground:
-        raise PreconditionError("word alphabet does not match the partition")
+    eps}, over eps's ground set, by the exact deletion search
+    `oracles.deletion_closure`."""
     if length_cap > CLOSURE_CAP:
         raise CapExceeded(f"length cap {length_cap} exceeds maximum {CLOSURE_CAP}")
-    raw = deletion_closure(eps, _raw_words(range(alphabet), length_cap))
-    return frozenset(FreeWord(w, alphabet) for w in raw)
+    raw = deletion_closure(eps, _raw_words(range(eps.ground), length_cap))
+    return frozenset(FreeWord(w, eps.ground) for w in raw)
 
 
 @dataclass(frozen=True)
@@ -320,14 +318,11 @@ def graev_delta_bruteforce(
     if not check.ok:
         raise PreconditionError(f"symmetrized metric invalid: {check.violation}")
     w = fg_multiply(fg_invert(u), v)
+    if w.alphabet != dbar.n:
+        raise PreconditionError("word alphabet does not match the symmetrized space")
     if len(w) > DELTA_CAP:
         raise CapExceeded(f"reduced length {len(w)} exceeds cap {DELTA_CAP}")
     return _delta_word(w, dbar, word_alphabet(w, dbar, extra_letters))
-
-
-def project_to_boolean(w: FreeWord) -> BooleanWord:
-    """The mod-2 image of `project_to_abelian`: the letters of odd exponent sum."""
-    return BooleanWord(frozenset(p for p, c in project_to_abelian(w).coeffs if c % 2), w.alphabet)
 
 
 def project_to_abelian(w: FreeWord) -> AbelianWord:

@@ -199,6 +199,8 @@ class UltraMetricSpace:
         object.__setattr__(self, "rank", table.rank)
         if len(self.names) != len(self.dist):
             raise InputError("name table does not match matrix size")
+        if not self.dist:
+            raise InputError("the space has no points")
         if "0" in self.names:
             raise InputError('point name "0" is reserved for the adjoined zero element')
         if type(self.basepoint) is not int:
@@ -278,6 +280,8 @@ class Partition:
     _block_of: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.ground) is not int or self.ground < 0:
+            raise InputError(f"ground {shown(self.ground)} is not a non-negative int")
         blocks = tuple(sorted((frozenset(b) for b in self.blocks), key=min))
         object.__setattr__(self, "blocks", blocks)
         seen: dict[int, int] = {}

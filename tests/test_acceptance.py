@@ -173,7 +173,7 @@ def test_acceptance_06_kernel_identity():
     for n in (1, 2, 3):
         words = [FreeWord(w, n) for w in freegroup._raw_words(range(n), 6)]
         for part in all_partitions(n):
-            ball = v_psi_ball(part, n, 6)
+            ball = v_psi_ball(part, 6)
             for w in words:
                 assert (w in ball) == eps_tilde_membership(w, part)
                 checks += 1

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_boolean_words, all_partitions, aug, make_space, split_space
+from conftest import all_boolean_words, all_partitions, aug, discrete_dbar, make_space, split_space
 from corpus import corpus, random_ultrametric
+from nafree.abelian import AbelianWord, ab_eps_membership, bn_avoidance_check, bn_interior_witness
 from nafree.boolean import (
     BooleanWord,
     Configuration,
@@ -16,17 +17,16 @@ from nafree.boolean import (
     closedness_witness,
     enumerate_normal_configurations,
     eps_subgroup_membership,
-    graev_metric,
     graev_norm_bruteforce,
     graev_norm_fast,
     lift_action,
     phi,
     reduce_configuration,
-    separating_entourage,
     support,
 )
 from nafree.errors import CapExceeded, InputError, PreconditionError
 from nafree.finite_groups import FiniteGroupTable, IsometricAction
+from nafree.freegroup import FreeWord, graev_delta_bruteforce
 from nafree.oracles import boolean_membership_closure
 from nafree.spaces import Partition, PartitionChain, ball_chain, extend_with_zero
 
@@ -193,6 +193,29 @@ def test_norms_refuse_a_word_over_another_ground(norm):
             norm(u, ext)
 
 
+_SPLIT, _JOINED = Partition.discrete(3), Partition.indiscrete(3)
+_THREE_CHAIN = PartitionChain(((Fraction(1), _JOINED), (Fraction(0), _SPLIT)))
+_OVER_ANOTHER_GROUND = {
+    "eps_subgroup_membership": lambda: eps_subgroup_membership(w({0, 1}, 5), _SPLIT),
+    "ab_eps_membership": lambda: ab_eps_membership(AbelianWord(((0, 1), (1, -1)), 5), _JOINED),
+    "closedness_witness": lambda: closedness_witness(w({0, 1}, 2), _THREE_CHAIN),
+    "bn_avoidance_check": lambda: bn_avoidance_check(AbelianWord(((0, 2), (4, 2)), 5), 3, _THREE_CHAIN),
+    "bn_interior_witness": lambda: bn_interior_witness(AbelianWord((), 2), 2, _JOINED),
+    # letter 3 of a 4-letter word would be costed as the inverse of x0
+    "graev_delta_bruteforce": lambda: graev_delta_bruteforce(
+        FreeWord((), 4), FreeWord(((3, 1), (0, 1)), 4), discrete_dbar(3)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVER_ANOTHER_GROUND))
+def test_rules_refuse_a_word_over_another_ground_set(case):
+    # a word over another ground set than the partition's, chain's or
+    # space's has no answer: its points would be read as other points
+    with pytest.raises(PreconditionError, match=r"^word (ground set|alphabet) does not match the "):
+        _OVER_ANOTHER_GROUND[case]()
+
+
 def test_zero_attaches_at_the_space_basepoint():
     for sp in corpus(seed=77, count=30, max_size=6):
         for b in range(sp.size):
@@ -205,20 +228,12 @@ def test_zero_attaches_at_the_space_basepoint():
 
 
 def test_graev_metric_examples():
+    # the norm metric ||u + v||
     sp = split_space()
     ext = aug(sp)
-    assert graev_metric(w({0}), w({1}), ext) == sp.d(0, 1)
-    assert graev_metric(w({0, 2}), w({0, 2}), ext) == 0
-    assert graev_metric(w({0, 1}), w({0, 2}), ext) == sp.d(1, 2)
-
-
-def test_graev_metric_translation_invariance():
-    ext = aug(split_space())
-    words = list(all_boolean_words(4))
-    rng = random.Random(9)
-    for _ in range(80):
-        u, v, t = (rng.choice(words) for _ in range(3))
-        assert graev_metric(bool_add(u, t), bool_add(v, t), ext) == graev_metric(u, v, ext)
+    assert graev_norm_fast(bool_add(w({0}), w({1})), ext).value == sp.d(0, 1)
+    assert graev_norm_fast(bool_add(w({0, 2}), w({0, 2})), ext).value == 0
+    assert graev_norm_fast(bool_add(w({0, 1}), w({0, 2})), ext).value == sp.d(1, 2)
 
 
 def test_eps_membership_examples():
@@ -239,13 +254,11 @@ def test_eps_membership_agrees_with_closure_oracle():
 def test_separating_entourage():
     sp = split_space()
     chain = ball_chain(sp)
-    part = separating_entourage(w({0, 2}), chain)
+    part = chain.separating_level(w({0, 2}).points)
     assert part is not None and not part.same_block(0, 2)
     coarse = PartitionChain(((Fraction(2), Partition.indiscrete(4)),))
-    assert separating_entourage(w({0, 2}), coarse) is None
-    assert separating_entourage(w({0, 1}), chain).separates({0, 1})
-    with pytest.raises(PreconditionError):
-        separating_entourage(w(set()), chain)
+    assert coarse.separating_level(w({0, 2}).points) is None
+    assert chain.separating_level(w({0, 1}).points).separates({0, 1})
 
 
 def test_closedness_witness():

@@ -399,6 +399,14 @@ def test_a_balls_chain_other_than_auto_is_an_input_error(runner, tmp_path):
         assert res.stderr == 'input error: chain \'balls\' must be "auto", the ball chain of the space\n'
 
 
+def test_an_empty_space_is_named_before_its_basepoint(runner, tmp_path):
+    f = write(tmp_path, {"space": {"points": [], "dist": []}})
+    for command in COMMANDS:
+        res = invoke(runner, argv_for(command, f))
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "input error: the space has no points\n"
+
+
 def test_validate_reports_one_violation_for_a_bad_chain(runner, tmp_path):
     f = write(tmp_path, VIOLATING["overlapping_chain_blocks"])
     res = invoke(runner, ["validate", f])

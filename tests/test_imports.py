@@ -1,5 +1,5 @@
-"""Every name a module imports is used in it, and the oracles import no
-rule they certify.
+"""Every name a module imports is used in it, the oracles import no rule
+they certify, and the definitions no `src` code names are a known list.
 
 `__init__.py` is left out: its imports are the package's public re-exports.
 A name counts as used if it occurs as a name in the module, also inside an
@@ -75,3 +75,86 @@ def test_oracles_import_no_rule_they_certify():
             assert not any(a.name.startswith("nafree") for a in node.names)
     assert package.isdisjoint(CERTIFIED)
     assert package <= ORACLE_MAY_IMPORT
+
+
+# Every definition outside `oracles.py` that no `src` code names outside its
+# own body: module-level functions and classes, and methods other than
+# dunders.  Re-exports from `__init__.py` do not count as names.  The scan
+# goes by name, so a definition whose name is also used for something else
+# counts as named.  A new entry needs a reason, and a name that gains a
+# caller, or goes, leaves the list.
+PERFBENCH = "traced or called by perfbench/"
+CLICK = "called by click"
+SURFACE = {
+    "boolean.reduce_configuration": "ROADMAP item 8: moves to oracles.py with the brute-force norm",
+    "boolean.enumerate_normal_configurations":
+        "the reference test_boolean.py::test_bruteforce_certificate_is_the_first_minimum compares against",
+    "boolean.closedness_witness": "a paper construct: closedness of the image of X, acceptance 07",
+    "boolean.lift_action": "a paper construct: lifted isometric actions, acceptance 10",
+    "cli._Boundary.invoke": CLICK,
+    "cli.validate": CLICK,
+    "cli.report": CLICK,
+    "duality.dual_group": "a paper construct: the character group, test_duality.py::test_dual_group_sizes",
+    "duality.QuotientHom.contains": "ROADMAP item 6 absorbs the quotient homomorphisms",
+    "duality.local_base_SPro":
+        "a paper construct: the finite-index local base, "
+        "test_duality.py::test_kernel_words_lie_in_every_member",
+    "duality.InverseSystem": "a paper construct: inverse systems of Boolean quotients, test_duality.py",
+    "duality.InverseSystem.thread_check":
+        "a paper construct: threads of the inverse system, "
+        "test_duality.py::test_inverse_system_bonds_and_threads",
+    "finite_groups.FiniteGroupTable.boolean_power": "a paper construct: Boolean targets, acceptance 09",
+    "finite_groups.SeminormTable.is_invariant": "ROADMAP item 6: seminorms on F(X) quotients",
+    "finite_groups.seminorm_from_subgroup":
+        "a paper construct: seminorms from open subgroups, "
+        "test_finite_groups.py::test_subgroup_seminorm_round_trip",
+    "finite_groups.subgroup_from_seminorm": "ROADMAP item 5: the stabilizer H of Pestov's test",
+    "finite_groups.seminorm_from_action": "ROADMAP item 5: the seminorm p of Pestov's test",
+    "finite_groups.metric_from_seminorm":
+        "a paper construct: invariant metrics from seminorms, "
+        "test_finite_groups.py::test_metric_from_seminorm_invariance_and_restriction",
+    "freegroup.eps_tilde_membership": PERFBENCH,
+    "freegroup.v_psi_ball": PERFBENCH,
+    "freegroup.graev_delta_bruteforce": PERFBENCH,
+    "freegroup.project_to_abelian":
+        "a paper construct: F(X) onto A(X), test_freegroup.py::test_projections_commute_with_quotient",
+    "spaces.Partition.discrete":
+        "a paper construct: the finest entourage, test_spaces.py::test_strict_ball_partition",
+    "spaces.ball_partition": PERFBENCH,
+    "spaces.combine_pseudometrics": "a paper construct: the sup of a pseudometric family, acceptance 13",
+}
+
+
+def _definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _unnamed() -> set[str]:
+    trees = {
+        p.name[:-3]: ast.parse(p.read_text())
+        for p in resources.files("nafree").iterdir() if p.name.endswith(".py")
+    }
+    uses: dict[str, list[int]] = {}  # name -> the nodes that name it
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                uses.setdefault(n.id if isinstance(n, ast.Name) else n.attr, []).append(id(n))
+    out = set()
+    for module, tree in trees.items():
+        if module == "oracles":
+            continue
+        for qualname, node in _definitions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if all(u in inside for u in uses.get(qualname.rsplit(".", 1)[-1], ())):
+                out.add(f"{module}.{qualname}")
+    return out
+
+
+def test_definitions_no_src_code_names_are_listed():
+    assert sorted(_unnamed()) == sorted(SURFACE)

@@ -4,6 +4,8 @@ import gc
 import json
 import random
 import re
+from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
 
 from click.testing import CliRunner
@@ -46,7 +48,7 @@ def test_no_reference_cycles():
              for ws in workspaces for claim in CLAIMS]
     calls += [
         ("enumerate_Bn", enumerate_Bn, (3, 3)),
-        ("v_psi_ball", v_psi_ball, (indiscrete, 3, 4)),
+        ("v_psi_ball", v_psi_ball, (indiscrete, 4)),
         ("abelian_membership_search", abelian_membership_search,
          (AbelianWord(((0, 2), (1, -1), (2, -1)), 3), indiscrete)),
         ("graev_norm_bruteforce", graev_norm_bruteforce,
@@ -86,6 +88,20 @@ def test_l_eps_row_fails_on_a_wrong_closure(monkeypatch):
     row = run_report(ws, "l_eps")["l_eps"]
     assert not row["passed"]
     assert row["detail"].startswith("kernel mismatch at partition")
+
+
+def test_claim5_fails_on_a_norm_that_breaks_the_ultra_inequality(monkeypatch):
+    ws = load_workspace(WORKSPACE)
+    assert run_report(ws, "claim5")["claim5"] == {"passed": True, "detail": "16 words, all pairs"}
+    real = report.graev_norm_fast
+
+    def planted(u, space):
+        cert = real(u, space)
+        return replace(cert, value=Fraction(100)) if u.points == {0, 1} else cert
+
+    monkeypatch.setattr(report, "graev_norm_fast", planted)
+    row = run_report(ws, "claim5")["claim5"]
+    assert row == {"passed": False, "detail": "ultra inequality fails at [0], [1]"}
 
 
 def test_report_runs_every_claim_in_order():

@@ -204,6 +204,16 @@ def test_partition_invalid_blocks():
         Partition((frozenset({0, 1}), frozenset({1, 2})), 3)
     with pytest.raises(InputError):
         Partition((frozenset({0}),), 2)
+    # the ground is a non-negative int: 1.5 and True are not read as 1
+    for build in (
+        lambda: Partition.discrete(-1),
+        lambda: Partition((frozenset({0}),), 1.5),
+        lambda: Partition((frozenset({0}),), True),
+        lambda: Partition((), "0"),
+    ):
+        with pytest.raises(InputError, match=r"^ground .* is not a non-negative int$"):
+            build()
+    assert Partition.discrete(0) == Partition((), 0)
 
 
 def test_partition_refines_and_separates():
