@@ -159,6 +159,8 @@ class InverseSystem:
     def project_from_base(self, u: BooleanWord, i: int) -> BooleanWord:
         """Image of an element of B(X) in the level-i quotient."""
         part = self.chain.partitions[i]
+        if u.ground != part.ground:
+            raise PreconditionError("word ground set does not match the chain")
         sums = part.block_sums(zip(u.points, itertools.repeat(1)))
         return BooleanWord(frozenset(b for b, c in enumerate(sums) if c % 2), len(part.blocks))
 

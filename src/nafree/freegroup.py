@@ -78,21 +78,30 @@ def _image(letters: Sequence[Letter], eps: Partition) -> tuple[Letter, ...]:
     return out
 
 
-def _kernel(words: Sequence[tuple[Letter, ...]], eps: Partition) -> list[tuple[Letter, ...]]:
-    """The words of a breadth-first `_raw_words` list, in order, whose image
-    over eps's blocks is e.  Each word's image is its parent's with the last
-    letter pushed; the parent, the word without its last letter, is listed
-    earlier, and the parents of successive words come in list order."""
+def _kernel(points: Sequence[int], max_len: int, eps: Partition) -> list[tuple[Letter, ...]]:
+    """The words of `_raw_words(points, max_len)`, in order, whose image over
+    eps's blocks is e.  The walk is `_raw_words`'s, each word carrying its
+    image.  A letter moves the image's length by exactly one, so a word whose
+    image is longer than the letters still allowed has no extension with
+    image e, and its branch is dropped."""
     block = eps.block_index
-    images: list[tuple[Letter, ...]] = [()]
-    q = 0
-    for w in words[1:]:
-        parent = w[:-1]
-        while words[q] != parent:
-            q += 1
-        p, s = w[-1]
-        images.append(_push(images[q], (block(p), s)))
-    return [w for w, image in zip(words, images) if not image]
+    # (letter, its inverse, its image, the image's inverse)
+    steps = [(((p, s),), (p, -s), (block(p), s), (block(p), -s)) for p in points for s in (1, -1)]
+    out: list[tuple[Letter, ...]] = [()]
+    frontier = [((), ())]
+    for room in range(max_len - 1, -1, -1):
+        nxt = []
+        for w, image in frontier:
+            last = w[-1] if w else None
+            for step, inverse, letter, back in steps:
+                if last != inverse:
+                    if image and image[-1] == back:  # the parent's image fit one letter more
+                        nxt.append((w + step, image[:-1]))
+                    elif len(image) < room:
+                        nxt.append((w + step, image + (letter,)))
+        out.extend(w for w, image in nxt if not image)
+        frontier = nxt
+    return out
 
 
 def quotient_hom(w: FreeWord, eps: Partition) -> FreeWord:
@@ -300,6 +309,8 @@ def word_alphabet(w: FreeWord, dbar: SymmetrizedSpace, extra: Sequence[int] = ()
         s.add(p)
         s.add(p + dbar.n)
     for p in extra:
+        if type(p) is not int or not 0 <= p < dbar.n:
+            raise InputError(f"letter {shown(p)} outside 0..{dbar.n - 1}")
         s.add(p)
         s.add(p + dbar.n)
     return tuple(sorted(s))

@@ -110,7 +110,7 @@ def _check_l_eps(ws: Workspace) -> tuple[bool, str]:
         if pts not in words:
             words[pts] = inside[pts] = _raw_words(pts, cap)
         inside[pts] = closed = deletion_closure(part, inside[pts])
-        if _kernel(words[pts], part) != closed:
+        if _kernel(pts, cap, part) != closed:
             return False, f"kernel mismatch at partition {part.blocks}"
         count += len(words[pts])
     detail = f"{count} word/partition checks at cap {cap}"

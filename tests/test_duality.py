@@ -132,6 +132,13 @@ def test_inverse_system_bonds_and_threads():
     assert not sys.thread_check(bad)
 
 
+def test_projection_refuses_a_word_over_another_ground_set():
+    sys = InverseSystem(_chain())  # over 3 points
+    for ground in (2, 5):
+        with pytest.raises(PreconditionError, match="^word ground set does not match the chain$"):
+            sys.project_from_base(BooleanWord(frozenset({0}), ground), 0)
+
+
 def test_inverse_system_constant_chain_identity_bonds():
     part = Partition((frozenset({0, 1}), frozenset({2})), 3)
     chain = PartitionChain(((Fraction(2), part), (Fraction(1), part)))

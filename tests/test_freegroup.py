@@ -167,15 +167,18 @@ def _closure_by_definition(eps, words, n):
 
 def test_deletion_closure_equals_the_definition():
     # cancelling only across the gap is the reduction of the shortened word,
-    # and a finer partition's closure, searched inside a coarser one's, is
-    # its closure over all words
+    # a finer partition's closure, searched inside a coarser one's, is its
+    # closure over all words, and the pruned walk keeps the same words
     for n in range(1, 5):
+        for part, cap in itertools.product(all_partitions(n), range(5)):
+            capped, kernel = _raw_words(range(n), cap), _kernel(range(n), cap, part)
+            assert kernel == deletion_closure(part, capped)
+            assert kernel == [w for w in capped if not _image(w, part)]
+        assert _kernel(range(n), 0, Partition.discrete(n)) == [()]
         words = _raw_words(range(n), 4)
         closures = {part: deletion_closure(part, words) for part in all_partitions(n)}
         for part, closed in closures.items():
             assert closed == _closure_by_definition(part, words, n)
-            assert _kernel(words, part) == closed
-            assert closed == [w for w in words if not _image(w, part)]
         for fine, coarse in itertools.permutations(closures, 2):
             if fine.refines(coarse):
                 assert deletion_closure(fine, closures[coarse]) == closures[fine]
@@ -254,6 +257,23 @@ def test_delta_cap_and_conditions_enforced():
     bad = SymmetrizedSpace(1, tuple(tuple(Fraction(v) for v in r) for r in bad_rows))
     with pytest.raises(PreconditionError):
         graev_delta_bruteforce(FreeWord((), 1), FreeWord((), 1), bad)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (3, "letter 3 outside 0..2"),  # the index of x0^-1
+        (6, "letter 6 outside 0..2"),  # the index of e
+        (7, "letter 7 outside 0..2"),
+        (-1, "letter -1 outside 0..2"),
+        (True, "letter True outside 0..2"),
+        (1.0, "letter 1.0 outside 0..2"),
+    ],
+)
+def test_delta_refuses_an_extra_letter_outside_the_space(extra, message):
+    x = FreeWord(((0, 1), (1, 1)), 3)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        graev_delta_bruteforce(x, FreeWord((), 3), discrete_dbar(3), [extra])
 
 
 def test_trivial_sequences_equal_the_filtered_product():

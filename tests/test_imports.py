@@ -55,7 +55,7 @@ def test_every_import_is_used(module):
 # the decision procedures the oracles certify, and what an oracle may use:
 # the word types, their arithmetic, Partition and the distance matrix type
 CERTIFIED = {
-    "_image", "eps_tilde_membership", "quotient_hom", "graev_norm_fast",
+    "_image", "_kernel", "eps_tilde_membership", "quotient_hom", "graev_norm_fast",
     "eps_subgroup_membership", "ab_eps_membership", "_ball_classes",
 }
 ORACLE_MAY_IMPORT = {

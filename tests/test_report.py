@@ -71,7 +71,9 @@ def test_l_eps_row_fails_on_a_wrong_kernel(monkeypatch):
     # the quotient onto one block: its kernel is all of the even words,
     # larger than the closure at every finer level of the ball chain
     monkeypatch.setattr(
-        report, "_kernel", lambda words, eps: freegroup._kernel(words, Partition.indiscrete(eps.ground))
+        report,
+        "_kernel",
+        lambda points, max_len, eps: freegroup._kernel(points, max_len, Partition.indiscrete(eps.ground)),
     )
     row = run_report(ws, "l_eps")["l_eps"]
     assert not row["passed"]
