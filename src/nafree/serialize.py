@@ -25,6 +25,7 @@ from .spaces import (
     UltraMetricSpace,
     ball_chain,
     extend_with_zero,
+    rank_matrix,
     rational,
 )
 
@@ -49,21 +50,8 @@ def parse_space(obj: dict, basepoint: Optional[str] = None) -> UltraMetricSpace:
         raise InputError("point names must be strings")
     if len(set(names)) != len(names):
         raise InputError("duplicate point names")
-    parsed: dict = {}
-
-    def entry(v) -> Fraction:
-        # each spelling is parsed once and its entries share one Fraction;
-        # only str and int spellings are kept, since true and 1.0 compare
-        # equal to 1 as keys but are not rationals
-        if type(v) is not str and type(v) is not int:
-            return rational(v)
-        f = parsed.get(v)
-        if f is None:
-            f = parsed[v] = rational(v)
-        return f
-
     rows = _array(obj["dist"], "dist")
-    dist = tuple(tuple(map(entry, _array(row, "a dist row"))) for row in rows)
+    dist = rank_matrix(_array(row, "a dist row") for row in rows)
     if basepoint is None:
         basepoint = obj.get("basepoint")
     index = 0
@@ -79,11 +67,14 @@ def parse_partition(obj: dict, space: UltraMetricSpace) -> Partition:
         blocks = obj["blocks"]
     except (KeyError, TypeError) as exc:
         raise InputError("partition object needs 'blocks'") from exc
-    idx_blocks = tuple(
-        frozenset(space.index(name) for name in _array(b, "a block"))
-        for b in _array(blocks, "blocks")
-    )
-    return Partition(idx_blocks, space.size)
+    parsed = []
+    for b in _array(blocks, "blocks"):
+        points = [space.index(name) for name in _array(b, "a block")]
+        parsed.append(frozenset(points))
+        if len(parsed[-1]) < len(points):
+            twice = next(name for i, name in enumerate(b) if points[i] in points[:i])
+            raise InputError(f"duplicate point name {shown(twice)} in a block")
+    return Partition(tuple(parsed), space.size)
 
 
 def parse_chain(obj, space: UltraMetricSpace) -> PartitionChain:

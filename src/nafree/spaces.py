@@ -12,6 +12,8 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError, Violation, clip, shown
@@ -19,7 +21,7 @@ from .errors import InputError, PreconditionError, Violation, clip, shown
 Matrix = tuple[tuple[Fraction, ...], ...]
 Ranks = tuple[tuple[int, ...], ...]
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def rational(v) -> Fraction:
@@ -47,14 +49,6 @@ def as_tuple(v, what: str) -> tuple:
     return tuple(v)
 
 
-def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    """Rows as tuples of exact values, each read by `rational`."""
-    try:
-        return tuple(tuple(map(rational, row)) for row in rows)
-    except TypeError as exc:  # `rational` raises InputError, so a row is not iterable
-        raise InputError(f"malformed matrix: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class RankedMatrix:
     """A matrix of exact distances and its rank encoding.
@@ -71,55 +65,79 @@ class RankedMatrix:
     def __len__(self) -> int:
         return len(self.dist)
 
+    @cached_property
+    def walk(self):
+        """`_spanning_tree` of the ranks, walked at most once."""
+        return _spanning_tree(self.rank)
 
-def rank_matrix(rows: Sequence[Sequence]) -> RankedMatrix:
-    """`rows` as Fractions with their ranks; InputError for an entry that is
-    not a rational."""
-    m = _as_matrix(rows)
-    # a Fraction hashes and compares in Python, its lowest-terms pair in C;
-    # entries parsed from one spelling share one object, so dedupe those first
-    objs = {id(v): v for row in m for v in row}
-    pair = {i: (v.numerator, v.denominator) for i, v in objs.items()}
-    distinct = {(0, 1): _ZERO, **{pair[i]: v for i, v in objs.items()}}
-    scale = tuple(sorted(distinct.values()))
+
+def rank_matrix(rows: Iterable[Sequence]) -> RankedMatrix:
+    """`rows` as Fractions with their ranks; InputError names the first
+    non-rational entry in row-major order.  A row of str and int spellings
+    reads each new one once by `rational` and looks the rest up; any other
+    row is read entry by entry (True and 1.0 equal 1 as keys), keyed by id."""
+    read: dict = {}  # spelling -> its value
+    kept: dict = {}  # id -> a Fraction of a row read entry by entry
+    m, keys = [], []  # each row's values, and (1 if by id, its spellings or ids)
+    try:
+        for row in rows:
+            row = tuple(row)
+            kinds = set(map(type, row))
+            if kinds <= {str, int}:
+                for v in dict.fromkeys(row):
+                    if v not in read:
+                        read[v] = rational(v)
+                keys.append((0, row))
+                row = tuple(map(read.__getitem__, row))
+            else:
+                if kinds != {Fraction}:
+                    row = tuple(map(rational, row))
+                keys.append((1, tuple(map(id, row))))
+                kept.update(zip(keys[-1][1], row))
+            m.append(row)
+    except TypeError as exc:  # `rational` raises InputError, so a row is not iterable
+        raise InputError(f"malformed matrix: {exc}") from exc
+    # a Fraction hashes and compares in Python, its lowest-terms pair in C
+    pair = {(v.numerator, v.denominator): v for d in (read, kept) for v in d.values()}
+    scale = tuple(sorted({(0, 1): _ZERO, **pair}.values()))
     at = {(v.numerator, v.denominator): r for r, v in enumerate(scale)}
-    of = {i: at[p] for i, p in pair.items()}
-    rank = tuple(tuple(map(of.__getitem__, map(id, row))) for row in m)
-    return RankedMatrix(m, scale, rank)
+    of = [{k: at[v.numerator, v.denominator] for k, v in d.items()} for d in (read, kept)]
+    rank = tuple(tuple(map(of[by_id].__getitem__, key)) for by_id, key in keys)
+    return RankedMatrix(tuple(m), scale, rank)
 
 
-def _strong_triangle_witness(m) -> Optional[tuple[int, int, int]]:
-    """A triple (i, j, k) with i < k and d(i,k) > max(d(i,j), d(j,k)), or
-    None if there is none.  `m` is square and symmetric with zero diagonal;
-    other zero entries are allowed (ultra-pseudometrics).  Only the order of
-    the entries matters, so `m` may hold ranks.
+def _spanning_tree(m) -> tuple[Optional[tuple[int, int, int]], list[int], list]:
+    """Prim's walk of `m` from point 0: (witness, order, join), with the
+    points in visiting order and each one's entry to its tree parent.  `m`
+    is square and symmetric with zero diagonal; other zero entries are
+    allowed (ultra-pseudometrics).  Only the order of the entries matters,
+    so `m` may hold ranks.
 
-    Such a matrix satisfies the strong triangle iff every entry equals the
-    largest edge on the path between its points in a minimum spanning tree
-    (Gower & Ross 1969), and an entry is never below that edge.  So one
-    Prim's run decides in O(n^2): when v joins through parent p, the largest
-    edge to an earlier tree point u is max(d(p,u), d(v,p)), since the pair
-    (p,u) has already passed, and if d(v,u) exceeds it, (v, p, u) is a
-    witness.
+    The witness is None, or the first triple (i, j, k) with i < k and
+    d(i,k) > max(d(i,j), d(j,k)), where the walk stops.  Such a matrix
+    satisfies the strong triangle iff every entry equals the largest edge
+    on the path between its points in a minimum spanning tree (Gower & Ross
+    1969), and an entry is never below that edge.  So one walk decides in
+    O(n^2): when v joins through parent p, the largest edge to an earlier
+    tree point u is max(d(p,u), d(v,p)), since the pair (p,u) has already
+    passed, and if d(v,u) exceeds it, (v, p, u) is a witness.
     """
     n = len(m)
-    if n < 3:
-        return None
-    parent, best = [0] * n, list(m[0])
-    tree, rest = [0], list(range(1, n))
+    parent, join = [0] * n, list(m[0] if n else ())
+    order, rest = [0] if n else [], list(range(1, n))
     while rest:
-        v = min(rest, key=best.__getitem__)
+        v = min(rest, key=join.__getitem__)
         rest.remove(v)
         p, row = parent[v], m[v]
-        w, via = best[v], m[p]
-        for u in tree:
+        w, via = join[v], m[p]
+        for u in order:
             if row[u] > w and row[u] > via[u]:
-                return min(v, u), p, max(v, u)
-        tree.append(v)
+                return (min(v, u), p, max(v, u)), order, join
+        order.append(v)
         for x in rest:
-            if row[x] < best[x]:
-                best[x], parent[x] = row[x], v
-    return None
+            if row[x] < join[x]:
+                join[x], parent[x] = row[x], v
+    return None, order, join
 
 
 @dataclass(frozen=True)
@@ -163,7 +181,7 @@ def validate_ultrametric(rows) -> Optional[MetricViolation]:
                 )
             if not row[j]:
                 return MetricViolation("positivity", (i, j), f"d({i},{j}) = 0 for {i} != {j}")
-    bad = _strong_triangle_witness(rank)
+    bad = t.walk[0]
     if bad is not None:
         i, j, k = bad
         bound = max(m[i][j], m[j][k])
@@ -181,7 +199,8 @@ class UltraMetricSpace:
 
     `dist` holds the values that answers and messages show; `scale` and
     `rank` are its rank encoding (see RankedMatrix), built once, on which
-    validation, ball partitions and isometry checks decide.
+    validation, ball partitions and isometry checks decide.  `dist` may be a
+    RankedMatrix; `tree` is (order, join) of its `_spanning_tree`.
     """
 
     dist: Matrix
@@ -189,14 +208,16 @@ class UltraMetricSpace:
     basepoint: int = 0
     scale: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
     rank: Ranks = field(init=False, repr=False, compare=False)
+    tree: tuple = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = rank_matrix(self.dist)
+        table = self.dist if isinstance(self.dist, RankedMatrix) else rank_matrix(self.dist)
         names = as_tuple(self.names, "names") or tuple(f"x{i}" for i in range(len(table)))
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "dist", table.dist)
-        object.__setattr__(self, "scale", table.scale)
-        object.__setattr__(self, "rank", table.rank)
+        object.__setattr__(self, "_index", {v: i for i, v in reversed(tuple(enumerate(names)))})
+        for name in ("dist", "scale", "rank"):
+            object.__setattr__(self, name, getattr(table, name))
         if len(self.names) != len(self.dist):
             raise InputError("name table does not match matrix size")
         if not self.dist:
@@ -210,6 +231,7 @@ class UltraMetricSpace:
         bad = validate_ultrametric(table)
         if bad is not None:
             raise Violation(f"not an ultra-metric: {bad}")
+        object.__setattr__(self, "tree", table.walk[1:])
 
     @property
     def size(self) -> int:
@@ -224,8 +246,8 @@ class UltraMetricSpace:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise InputError(f"unknown point name {shown(name)}") from None
 
 
@@ -265,9 +287,9 @@ def extend_with_zero(space: UltraMetricSpace) -> AugmentedSpace:
     d(x, 0) <= max(d(x, y), d(y, 0)) since d(x, b) <= max(d(x, y), d(y, b))
     and 1 <= d(y, 0).
     """
-    zrow = tuple(max(row[space.basepoint], Fraction(1)) for row in space.dist)
+    zrow = tuple(max(row[space.basepoint], _ONE) for row in space.dist)
     rows = [row + (z,) for row, z in zip(space.dist, zrow)]
-    rows.append(zrow + (Fraction(0),))
+    rows.append(zrow + (_ZERO,))
     return AugmentedSpace(base=space, dist=tuple(rows))
 
 
@@ -282,12 +304,13 @@ class Partition:
     def __post_init__(self):
         if type(self.ground) is not int or self.ground < 0:
             raise InputError(f"ground {shown(self.ground)} is not a non-negative int")
-        blocks = tuple(sorted((frozenset(b) for b in self.blocks), key=min))
+        blocks = tuple(map(frozenset, self.blocks))
+        if not all(blocks):
+            raise Violation("empty block")
+        blocks = tuple(sorted(blocks, key=min))
         object.__setattr__(self, "blocks", blocks)
         seen: dict[int, int] = {}
         for i, b in enumerate(blocks):
-            if not b:
-                raise Violation("empty block")
             for p in b:
                 if p in seen:
                     raise Violation(f"point {p} occurs in two blocks")
@@ -322,16 +345,12 @@ class Partition:
             raise InputError(f"point {exc.args[0]} outside the partition ground set") from None
         return tuple(sums)
 
-    def same_block(self, p: int, q: int) -> bool:
-        return self.block_index(p) == self.block_index(q)
-
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self sits inside a block of other."""
         if self.ground != other.ground:
             return False
-        return all(
-            other.same_block(min(b), p) for b in self.blocks for p in b
-        )
+        pairs = zip(self._block_of.values(), map(other._block_of.__getitem__, self._block_of))
+        return len(set(pairs)) == len(self.blocks)  # each block meets one of other's
 
     def separates(self, points: frozenset[int] | set[int]) -> bool:
         idx = [self.block_index(p) for p in points]
@@ -396,9 +415,14 @@ def _ball_classes(dist, points, r) -> list[list[int]]:
 
 
 def _rank_partition(space: UltraMetricSpace, t: int) -> Partition:
-    """Partition by the relation rank(p,q) <= t."""
-    blocks = _ball_classes(space.rank, range(space.size), t)
-    return Partition(tuple(frozenset(b) for b in blocks), space.size)
+    """Partition by the relation rank(p,q) <= t in O(n).  The tree's edges
+    of rank <= t join the balls (single linkage), and Prim's walk finishes a
+    ball before it leaves it: each ball is a run of `order`, and every point
+    of a run but its first joined by an edge of rank <= t."""
+    order, join = space.tree
+    n = len(order)
+    cuts = [0, *compress(range(1, n), map(t.__lt__, map(join.__getitem__, order[1:]))), n]
+    return Partition(tuple(frozenset(order[a:b]) for a, b in zip(cuts, cuts[1:])), n)
 
 
 def ball_partition(space: UltraMetricSpace, r) -> Partition:
@@ -445,7 +469,7 @@ def _check_ultra_pseudometric(m: Matrix, bound: Fraction) -> None:
                 raise InputError(f"entry ({i},{j}) = {m[i][j]} outside [0, {bound}]")
             if m[i][j] != m[j][i]:
                 raise InputError(f"asymmetric at ({i},{j})")
-    bad = _strong_triangle_witness(m)
+    bad = _spanning_tree(m)[0]
     if bad is not None:
         raise InputError("strong triangle fails at ({},{},{})".format(*bad))
 
@@ -457,7 +481,7 @@ def combine_pseudometrics(family: Sequence[Sequence[Sequence]]) -> CombinedMetri
     fails to separate some pair the result is only a pseudometric; that is
     reported via `separates`, never silently coerced.
     """
-    mats = [_as_matrix(m) for m in family]
+    mats = [rank_matrix(m).dist for m in family]
     if not mats:
         raise PreconditionError("empty pseudometric family")
     n = len(mats[0])

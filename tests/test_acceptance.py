@@ -57,7 +57,7 @@ from nafree.spaces import (
     MetricViolation,
     Partition,
     UltraMetricSpace,
-    _strong_triangle_witness,
+    _spanning_tree,
     ball_chain,
     ball_partition,
     combine_pseudometrics,
@@ -506,7 +506,7 @@ def _validate_on_fractions(rows):
                 )
             if m[i][j] == 0:
                 return MetricViolation("positivity", (i, j), f"d({i},{j}) = 0 for {i} != {j}")
-    bad = _strong_triangle_witness(m)
+    bad = _spanning_tree(m)[0]
     if bad is not None:
         i, j, k = bad
         bound = max(m[i][j], m[j][k])

@@ -255,7 +255,7 @@ def test_separating_entourage():
     sp = split_space()
     chain = ball_chain(sp)
     part = chain.separating_level(w({0, 2}).points)
-    assert part is not None and not part.same_block(0, 2)
+    assert part is not None and part.block_index(0) != part.block_index(2)
     coarse = PartitionChain(((Fraction(2), Partition.indiscrete(4)),))
     assert coarse.separating_level(w({0, 2}).points) is None
     assert chain.separating_level(w({0, 1}).points).separates({0, 1})

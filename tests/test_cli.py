@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import nafree.spaces
-from corpus import corpus
+from corpus import corpus, random_ultrametric
 from nafree.abelian import ab_eps_membership
 from nafree.boolean import DEFAULT_ENUM_CAP, eps_subgroup_membership
 from nafree.cli import main
@@ -24,6 +24,7 @@ from nafree.serialize import (
     parse_abelian_word,
     parse_boolean_word,
     parse_free_word,
+    parse_space,
 )
 
 WORKSPACE = str(resources.files("nafree") / "data" / "workspace.json")
@@ -365,6 +366,9 @@ VIOLATING = {
         chains={"bad": {"levels": [{"threshold": 2, "blocks": [["p", "q", "r"], ["r", "s"]]}]}}
     ),
     "non_isometric_action": bundled_with(actions={"bad": {"perms": [["r", "q", "p", "s"]]}}),
+    "empty_chain_block": bundled_with(
+        chains={"bad": {"levels": [{"threshold": 2, "blocks": [["p", "q", "r", "s"], []]}]}}
+    ),
     "asymmetric": space_with(
         dist=[["0", "1/2", "2", "2"], ["1/2", "0", "2", "2"], ["2", "2", "0", "1"], ["2", "2", "1/2", "0"]]
     ),
@@ -429,6 +433,32 @@ def test_strong_triangle_is_checked_once_per_load(runner, monkeypatch):
     assert calls == [4, 4]
     assert invoke(runner, ["validate", WORKSPACE]).exit_code == 0
     assert calls == [4, 4, 4]
+
+
+def test_one_prim_walk_per_load(runner, tmp_path, monkeypatch):
+    # the walk that checks the strong triangle leaves the spanning tree every
+    # ball partition of the load is read from
+    calls = []
+    original = nafree.spaces._spanning_tree
+
+    def counted(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(nafree.spaces, "_spanning_tree", counted)
+    sp = random_ultrametric(random.Random(19), 24)
+    chain = {"levels": [{"threshold": "4", "blocks": [list(sp.names)]}]}
+    space = {"points": list(sp.names), "dist": [[str(v) for v in row] for row in sp.dist]}
+    f = write(tmp_path, {"space": space, "chains": {"balls": "auto", "top": chain},
+                         "actions": {"id": {"perms": [list(sp.names)]}}})
+    for path in (WORKSPACE, f):
+        calls.clear()
+        ws = load_workspace(path)
+        assert calls == [ws.space.size]
+        assert ws.chains["balls"].levels[0][0] == ws.space.scale[-1]
+    calls.clear()
+    assert invoke(runner, ["report", WORKSPACE, "--only", "claim6"]).exit_code == 0
+    assert calls == [4]
 
 
 def test_in_process_requests_free_their_streams(runner):
@@ -556,6 +586,97 @@ def test_equal_spellings_are_one_value_but_true_and_floats_are_not(runner, tmp_p
         res = invoke(runner, argv_for(command, f))
         assert_input_error(res)
         assert res.stderr == f"input error: not a rational: {shown_as}\n"
+
+
+def test_each_spelling_is_read_once(monkeypatch):
+    calls = []
+    original = nafree.spaces.rational
+
+    def counted(v):
+        calls.append(v)
+        return original(v)
+
+    rng = random.Random(24)
+    sp = random_ultrametric(rng, 24)
+    spellings = {v: [str(v), f"{2 * v.numerator}/{2 * v.denominator}"] for row in sp.dist for v in row}
+    for v in spellings:
+        if v.denominator == 1:
+            spellings[v].append(v.numerator)
+    dist = [[rng.choice(spellings[v]) for v in row] for row in sp.dist]
+    monkeypatch.setattr(nafree.spaces, "rational", counted)
+    space = parse_space({"points": list(sp.names), "dist": dist})
+    distinct = {(type(v), v) for row in dist for v in row}
+    assert len(calls) == len(distinct) < 24 * 24 // 10
+    assert sorted(calls, key=repr) == sorted((v for _, v in distinct), key=repr)
+    assert space.dist == sp.dist and space.rank == sp.rank and space.scale == sp.scale
+
+
+GOOD = BUNDLED["space"]["dist"]
+
+
+def dist_with(*cells, rows=GOOD):
+    """The bundled matrix with (row, column, entry) cells replaced."""
+    dist = json.loads(json.dumps(rows))
+    for i, j, v in cells:
+        dist[i][j] = v
+    return dist
+
+
+ONE_SPELLED = [[0, 1, "2", "2"], [1, 0, "2", "2"], ["2", "2", 0, 1], ["2", "2", 1, 0]]
+
+
+@pytest.mark.parametrize("dist, message", [
+    (dist_with((1, 2, 1), (1, 3, 1.0), rows=ONE_SPELLED), "not a rational: 1.0"),
+    (dist_with((1, 2, 1), (1, 3, True), rows=ONE_SPELLED), "not a rational: True"),
+    (dist_with((0, 2, True), (1, 2, 1), rows=ONE_SPELLED), "not a rational: True"),
+    (dist_with((1, 2, "1e3"), (1, 3, "1/0")), "malformed rational '1e3': exponents are not read"),
+    (dist_with((1, 3, "1e3"), (1, 2, "1/0")), "malformed rational '1/0': Fraction(1, 0)"),
+    (dist_with((0, 3, "1/0"), (1, 0, "1e3")), "malformed rational '1/0': Fraction(1, 0)"),
+    (dist_with((1, 1, "1e3"), (1, 2, None), (1, 3, "1e3")),
+     "malformed rational '1e3': exponents are not read"),
+    (dist_with((2, 1, None)), "not a rational: None"),
+    (dist_with((3, 0, [1]), (3, 1, "x")), "not a rational: [1]"),
+    (dist_with((2, 3, "x"))[:3] + [5], "malformed rational 'x': Invalid literal for Fraction: 'x'"),
+    (dist_with((2, 3, "x"))[:2] + [5], "a dist row must be an array, got int"),
+    (GOOD[:2] + [GOOD[2] + ["2"], GOOD[3]], "matrix is not square"),
+    (dist_with((0, 1, "-1/2"), (1, 0, "-1/2")), "negative entry at (0,1)"),
+])
+def test_a_malformed_matrix_names_its_first_bad_entry(runner, tmp_path, dist, message):
+    f = write(tmp_path, space_with(dist=dist))
+    for command in COMMANDS:
+        res = invoke(runner, argv_for(command, f))
+        assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"input error: {message}\n")
+
+
+def test_a_name_listed_twice_in_a_block_is_an_input_error(runner, tmp_path):
+    # a set of point names would read the block as {p, q}
+    chain = {"levels": [{"threshold": "1/2", "blocks": [["p", "p", "q"], ["r", "s"]]}]}
+    f = write(tmp_path, bundled_with(chains={"balls": "auto", "twice": chain}))
+    for command in COMMANDS:
+        res = invoke(runner, argv_for(command, f))
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "input error: duplicate point name 'p' in a block\n"
+
+
+@pytest.mark.parametrize("change", [
+    {"actions": {"bad": {"perms": [[["q"], "p", "s", "r"]]}}},
+    {"chains": {"bad": {"levels": [{"threshold": "2", "blocks": [[["q"], "p", "r", "s"]]}]}}},
+])
+def test_an_unhashable_name_in_a_workspace_is_an_unknown_name(runner, tmp_path, change):
+    f = write(tmp_path, bundled_with(**change))
+    for command in COMMANDS:
+        res = invoke(runner, argv_for(command, f))
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "input error: unknown point name ['q']\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", WORKSPACE, '[["p"]]'],
+    ["member", WORKSPACE, '["q", ["p"]]', "-g", "B"],
+])
+def test_an_unhashable_word_name_is_an_unknown_name(runner, argv):
+    res = invoke(runner, argv)
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", "input error: unknown point name ['p']\n")
 
 
 def test_symmetric_group_workspace_loads_quickly(runner, tmp_path):

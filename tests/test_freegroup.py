@@ -159,7 +159,7 @@ def _closure_by_definition(eps, words, n):
     for w in words:
         for i in range(len(w) - 1):
             (x, s), (y, t) = w[i], w[i + 1]
-            if t == -s and eps.same_block(x, y) and FreeWord(w[:i] + w[i + 2:], n).letters in closed:
+            if t == -s and eps.block_index(x) == eps.block_index(y) and FreeWord(w[:i] + w[i + 2:], n).letters in closed:
                 closed.add(w)
                 break
     return [w for w in words if w in closed]

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_space, split_space
-from corpus import corpus, random_ultrametric
-from nafree.errors import InputError, PreconditionError
+from corpus import VALUES, corpus, random_ultrametric
+from nafree.errors import InputError, PreconditionError, Violation
 from nafree.finite_groups import FiniteGroupTable, SeminormTable
+from nafree.oracles import ball_partition_scan
 from nafree.spaces import (
     Partition,
     PartitionChain,
@@ -105,6 +106,16 @@ def test_space_rejects_reserved_zero_name():
         make_space([[0]], names=("0",))
 
 
+def test_a_row_of_mixed_values_reads_every_entry():
+    # rows of Fractions alone are kept as they are; any other row is read
+    # entry by entry, so an int beside a Fraction becomes a Fraction
+    sp = UltraMetricSpace(((0, Fraction(1, 2)), (Fraction(1, 2), "0")))
+    assert [type(v) for row in sp.dist for v in row] == [Fraction] * 4
+    assert sp.rank == ((0, 1), (1, 0))
+    with pytest.raises(InputError, match=r"^not a rational: True$"):
+        UltraMetricSpace(((Fraction(0), True), (True, Fraction(0))))
+
+
 def test_nameless_space_gets_default_names():
     sp = UltraMetricSpace(((0, 1), (1, 0)))
     assert sp.names == ("x0", "x1")
@@ -191,6 +202,29 @@ def test_ball_partition_plateau_between_values():
             assert ball_partition(sp, mid) == ball_partition(sp, lo)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 9, 16, 33, 64])
+def test_balls_read_off_the_spanning_tree_equal_the_pairwise_scan(size):
+    # heavy ties (five values, two, one) make many spanning trees; any of
+    # them gives the balls, and the zero extension adds a root edge
+    rng = random.Random(size)
+    spaces = []
+    for values in (VALUES, VALUES[1:3], VALUES[2:3]):
+        sp = random_ultrametric(rng, size, values)
+        spaces.append(sp)
+        for x0 in rng.sample(range(size), min(size, 2)):
+            ext = extend_with_zero(replace(sp, basepoint=x0))
+            spaces.append(UltraMetricSpace(ext.dist, sp.names + ("z",)))
+    for sp in spaces:
+        n = sp.size
+        grid = [Fraction(0)] + sorted({sp.d(p, q) for p in range(n) for q in range(n) if p != q})
+        mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+        for r in grid + mids + [grid[-1] + 1]:
+            assert ball_partition(sp, r) == ball_partition_scan(sp.dist, r)
+            if r > 0:
+                assert strict_ball_partition(sp, r) == ball_partition_scan(sp.dist, r, strict=True)
+        assert ball_chain(sp).levels == tuple((v, ball_partition_scan(sp.dist, v)) for v in reversed(grid))
+
+
 def test_ball_chain_levels_decrease_and_end_discrete():
     sp = split_space()
     chain = ball_chain(sp)
@@ -204,6 +238,9 @@ def test_partition_invalid_blocks():
         Partition((frozenset({0, 1}), frozenset({1, 2})), 3)
     with pytest.raises(InputError):
         Partition((frozenset({0}),), 2)
+    for blocks in ((frozenset(),), (frozenset({0}), frozenset())):
+        with pytest.raises(Violation, match="^empty block$"):
+            Partition(blocks, 1)
     # the ground is a non-negative int: 1.5 and True are not read as 1
     for build in (
         lambda: Partition.discrete(-1),
