@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .boolean import BooleanWord
-from .errors import CapExceeded, InputError, PreconditionError
+from .errors import CapExceeded, InputError, PreconditionError, shown
 from .finite_groups import FiniteGroupTable
 from .freegroup import FreeWord, quotient_hom
 from .spaces import Partition, PartitionChain
@@ -57,26 +57,24 @@ def dual_group(ground: int) -> list[Character]:
 
 def evaluation_delta(x: int, ground: int) -> Character:
     """delta_x = chi_{{x}}: evaluation of clopen indicators at x."""
-    if not 0 <= x < ground:
-        raise InputError(f"point {x} outside 0..{ground - 1}")
+    if type(x) is not int or not 0 <= x < ground:
+        raise InputError(f"point {shown(x)} outside 0..{ground - 1}")
     return Character(1 << x, ground)
 
 
 @dataclass(frozen=True)
 class UniversalExtension:
     """The unique homomorphism from the character group extending a map on
-    the evaluation image of X."""
+    the evaluation image of X, as its image of every character."""
 
-    images: tuple[int, ...]  # f(x) per base point, as elements of G
+    table: tuple[int, ...]  # the image of chi_S at index S, as elements of G
     group: FiniteGroupTable
     ground: int
 
     def apply(self, chi: Character) -> int:
-        acc = self.group.identity
-        for x in range(self.ground):
-            if chi.mask >> x & 1:
-                acc = self.group.op(acc, self.images[x])
-        return acc
+        if chi.ground != self.ground:
+            raise PreconditionError("character over another ground set")
+        return self.table[chi.mask]
 
 
 def universal_extension(
@@ -91,7 +89,6 @@ def universal_extension(
         raise PreconditionError("target group must have exponent at most 2")
     if len(f) != ground:
         raise InputError("image list does not match the ground set")
-    ext = UniversalExtension(tuple(f), group, ground)
     size = 1 << ground
     img = [group.identity] * size
     for s in range(1, size):
@@ -101,10 +98,9 @@ def universal_extension(
         row = group.mul[img[s]]
         if [img[s ^ t] for t in range(size)] != [row[b] for b in img]:
             raise AssertionError("extension failed to be a homomorphism")
-    for x in range(ground):
-        if img[1 << x] != f[x] or ext.apply(evaluation_delta(x, ground)) != f[x]:
-            raise AssertionError("extension does not restrict to f")
-    return ext
+    if any(img[1 << x] != f[x] for x in range(ground)):
+        raise AssertionError("extension does not restrict to f")
+    return UniversalExtension(tuple(img), group, ground)
 
 
 @dataclass(frozen=True)
@@ -117,6 +113,8 @@ class QuotientHom:
     generator_images: tuple[int, ...]  # one image per block
 
     def image_of_block_word(self, w: FreeWord) -> int:
+        if w.alphabet != len(self.eps.blocks):
+            raise PreconditionError("word is not over the blocks of the quotient")
         acc = self.target.identity
         for b, s in w.letters:
             g = self.generator_images[b] if s == 1 else self.target.inv[self.generator_images[b]]
@@ -150,6 +148,9 @@ class InverseSystem:
     def bond(self, i: int, u: BooleanWord) -> BooleanWord:
         """Send an element of B(X/eps_{i+1}) to B(X/eps_i): the projection
         of the fine blocks' representatives."""
+        depth = len(self.chain)
+        if type(i) is not int or not 0 <= i < depth - 1:
+            raise InputError(f"no bond into level {shown(i)} in a chain of {depth} levels")
         fine = self.chain.partitions[i + 1]
         if u.ground != len(fine.blocks):
             raise PreconditionError("element is not over the finer quotient")
@@ -158,6 +159,8 @@ class InverseSystem:
 
     def project_from_base(self, u: BooleanWord, i: int) -> BooleanWord:
         """Image of an element of B(X) in the level-i quotient."""
+        if type(i) is not int or not 0 <= i < len(self.chain):
+            raise InputError(f"level {shown(i)} outside 0..{len(self.chain) - 1}")
         part = self.chain.partitions[i]
         if u.ground != part.ground:
             raise PreconditionError("word ground set does not match the chain")

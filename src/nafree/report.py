@@ -111,7 +111,8 @@ def _check_l_eps(ws: Workspace) -> tuple[bool, str]:
             words[pts] = inside[pts] = _raw_words(pts, cap)
         inside[pts] = closed = deletion_closure(part, inside[pts])
         if _kernel(pts, cap, part) != closed:
-            return False, f"kernel mismatch at partition {part.blocks}"
+            blocks = [sorted(ws.space.names[p] for p in b) for b in part.blocks]
+            return False, f"kernel mismatch at partition {blocks}"
         count += len(words[pts])
     detail = f"{count} word/partition checks at cap {cap}"
     if ws.space.size > L_EPS_POINTS:

@@ -46,10 +46,6 @@ def parse_space(obj: dict, basepoint: Optional[str] = None) -> UltraMetricSpace:
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise InputError("space object needs 'points' and 'dist'")
     names = tuple(_array(obj["points"], "points"))
-    if not all(isinstance(name, str) for name in names):
-        raise InputError("point names must be strings")
-    if len(set(names)) != len(names):
-        raise InputError("duplicate point names")
     rows = _array(obj["dist"], "dist")
     dist = rank_matrix(_array(row, "a dist row") for row in rows)
     if basepoint is None:

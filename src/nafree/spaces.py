@@ -153,11 +153,14 @@ class MetricViolation:
 
 
 def validate_ultrametric(rows) -> Optional[MetricViolation]:
-    """Check the three ultra-metric axioms; return the first violation or None.
+    """Check the ultra-metric axioms; return the first violation or None.
 
-    `rows` is a matrix, or the RankedMatrix of one; the checks compare ranks.
-    Structural problems (non-square matrix, negative or malformed entries)
-    raise InputError instead of being reported as violations.
+    The order is diagonal, symmetry, strong triangle, then positivity, so a
+    matrix is an ultra-pseudometric exactly when the result is None or a
+    "positivity" violation.  `rows` is a matrix, or the RankedMatrix of one;
+    the checks compare ranks.  Structural problems (non-square matrix,
+    negative or malformed entries) raise InputError instead of being
+    reported as violations.
     """
     t = rows if isinstance(rows, RankedMatrix) else rank_matrix(rows)
     m, rank = t.dist, t.rank
@@ -172,15 +175,11 @@ def validate_ultrametric(rows) -> Optional[MetricViolation]:
         if rank[i][i]:  # rank 0 is the value 0
             return MetricViolation("diagonal", (i,), f"d({i},{i}) = {m[i][i]} != 0")
     for i, (row, col) in enumerate(zip(rank, zip(*rank))):
-        if row == col and 0 not in row[i + 1 :]:
-            continue
-        for j in range(i + 1, n):
-            if row[j] != col[j]:
-                return MetricViolation(
-                    "symmetry", (i, j), f"d({i},{j}) = {m[i][j]} != {m[j][i]} = d({j},{i})"
-                )
-            if not row[j]:
-                return MetricViolation("positivity", (i, j), f"d({i},{j}) = 0 for {i} != {j}")
+        if row != col:  # rows and columns before i agree, so j > i
+            j = next(j for j in range(i + 1, n) if row[j] != col[j])
+            return MetricViolation(
+                "symmetry", (i, j), f"d({i},{j}) = {m[i][j]} != {m[j][i]} = d({j},{i})"
+            )
     bad = t.walk[0]
     if bad is not None:
         i, j, k = bad
@@ -190,6 +189,10 @@ def validate_ultrametric(rows) -> Optional[MetricViolation]:
             bad,
             f"d({i},{k}) = {m[i][k]} > max(d({i},{j}), d({j},{k})) = {bound}",
         )
+    for i, row in enumerate(rank):
+        if 0 in row[i + 1 :]:
+            j = row.index(0, i + 1)
+            return MetricViolation("positivity", (i, j), f"d({i},{j}) = 0 for {i} != {j}")
     return None
 
 
@@ -214,8 +217,12 @@ class UltraMetricSpace:
     def __post_init__(self):
         table = self.dist if isinstance(self.dist, RankedMatrix) else rank_matrix(self.dist)
         names = as_tuple(self.names, "names") or tuple(f"x{i}" for i in range(len(table)))
+        if not all(isinstance(name, str) for name in names):
+            raise InputError("point names must be strings")
+        if len(set(names)) != len(names):
+            raise InputError("duplicate point names")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_index", {v: i for i, v in reversed(tuple(enumerate(names)))})
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(names)})
         for name in ("dist", "scale", "rank"):
             object.__setattr__(self, name, getattr(table, name))
         if len(self.names) != len(self.dist):
@@ -456,44 +463,32 @@ class CombinedMetric:
     separates: bool
 
 
-def _check_ultra_pseudometric(m: Matrix, bound: Fraction) -> None:
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise InputError("pseudometric matrix is not square")
-    for i in range(n):
-        if m[i][i] != 0:
-            raise InputError(f"nonzero diagonal at {i}")
-        for j in range(n):
-            if m[i][j] < 0 or m[i][j] > bound:
-                raise InputError(f"entry ({i},{j}) = {m[i][j]} outside [0, {bound}]")
-            if m[i][j] != m[j][i]:
-                raise InputError(f"asymmetric at ({i},{j})")
-    bad = _spanning_tree(m)[0]
-    if bad is not None:
-        raise InputError("strong triangle fails at ({},{},{})".format(*bad))
-
-
 def combine_pseudometrics(family: Sequence[Sequence[Sequence]]) -> CombinedMetric:
     """d(x,y) = max_n 2^-n * d_n(x,y) for a finite family d_1, d_2, ...
 
-    Each member must be an ultra-pseudometric bounded by 1.  If the family
-    fails to separate some pair the result is only a pseudometric; that is
-    reported via `separates`, never silently coerced.
+    Each member must be an ultra-pseudometric bounded by 1: a matrix that
+    `validate_ultrametric` accepts or finds at fault only in positivity.
+    If the family fails to separate some pair the result is only a
+    pseudometric; that is reported via `separates`, never silently coerced.
     """
-    mats = [rank_matrix(m).dist for m in family]
-    if not mats:
+    tables = [rank_matrix(m) for m in family]
+    if not tables:
         raise PreconditionError("empty pseudometric family")
-    n = len(mats[0])
-    for m in mats:
-        if len(m) != n:
+    n = len(tables[0])
+    for t in tables:
+        if len(t) != n:
             raise InputError("pseudometric matrices have mixed sizes")
-        _check_ultra_pseudometric(m, Fraction(1))
+        bad = validate_ultrametric(t)
+        if bad is not None and bad.kind != "positivity":
+            raise InputError(f"not an ultra-pseudometric: {bad}")
+        if t.scale[-1] > _ONE:
+            i, j = next((i, j) for i in range(n) for j in range(n) if t.dist[i][j] > _ONE)
+            raise InputError(f"entry ({i},{j}) = {t.dist[i][j]} above 1")
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            row.append(max(Fraction(1, 2) ** (k + 1) * m[i][j] for k, m in enumerate(mats)))
+            row.append(max(Fraction(1, 2) ** (k + 1) * t.dist[i][j] for k, t in enumerate(tables)))
         rows.append(tuple(row))
     dist = tuple(rows)
     separates = all(dist[i][j] > 0 for i in range(n) for j in range(i + 1, n))

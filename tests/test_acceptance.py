@@ -504,8 +504,6 @@ def _validate_on_fractions(rows):
                 return MetricViolation(
                     "symmetry", (i, j), f"d({i},{j}) = {m[i][j]} != {m[j][i]} = d({j},{i})"
                 )
-            if m[i][j] == 0:
-                return MetricViolation("positivity", (i, j), f"d({i},{j}) = 0 for {i} != {j}")
     bad = _spanning_tree(m)[0]
     if bad is not None:
         i, j, k = bad
@@ -513,6 +511,10 @@ def _validate_on_fractions(rows):
         return MetricViolation(
             "strong_triangle", bad, f"d({i},{k}) = {m[i][k]} > max(d({i},{j}), d({j},{k})) = {bound}"
         )
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m[i][j] == 0:
+                return MetricViolation("positivity", (i, j), f"d({i},{j}) = 0 for {i} != {j}")
     return None
 
 

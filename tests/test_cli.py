@@ -2,7 +2,10 @@
 import gc
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from importlib import resources
@@ -26,6 +29,7 @@ from nafree.serialize import (
     parse_free_word,
     parse_space,
 )
+from nafree.spaces import validate_ultrametric
 
 WORKSPACE = str(resources.files("nafree") / "data" / "workspace.json")
 
@@ -392,6 +396,24 @@ def test_violation_exits_1_under_validate_and_2_elsewhere(runner, tmp_path, case
         assert_input_error(invoke(runner, argv_for(command, f)))
 
 
+def _run_cli(*argv):
+    """`python -m nafree.cli` in a fresh process, on the package under src/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    cmd = [sys.executable, "-m", "nafree.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_the_cli_runs_as_a_process(tmp_path):
+    ok = _run_cli("validate", WORKSPACE)
+    bad = _run_cli("validate", write(tmp_path, VIOLATING["strong_triangle"]))
+    unknown = _run_cli("norm", WORKSPACE, '["zz"]')
+    assert (ok.returncode, ok.stderr) == (0, "") and ok.stdout.endswith("\nok\n")
+    assert (bad.returncode, bad.stderr) == (1, "") and bad.stdout.startswith("violation: ")
+    assert (unknown.returncode, unknown.stdout) == (2, "")
+    assert unknown.stderr == "input error: unknown point name 'zz'\n"
+    assert not any("Traceback" in r.stdout + r.stderr for r in (ok, bad, unknown))
+
+
 def test_a_balls_chain_other_than_auto_is_an_input_error(runner, tmp_path):
     # `report` reads "balls" as the ball chain of the space; on this chain
     # its fbaire row used to fail for want of a separating level
@@ -646,6 +668,41 @@ def test_a_malformed_matrix_names_its_first_bad_entry(runner, tmp_path, dist, me
     for command in COMMANDS:
         res = invoke(runner, argv_for(command, f))
         assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"points": ["p", "p", "r", "s"], "dist": dist_with((1, 3, "x"), (3, 1, "x"))},
+     "malformed rational 'x': Invalid literal for Fraction: 'x'"),
+    ({"points": ["p", "0", "r", "s"], "dist": dist_with((1, 3, "x"), (3, 1, "x"))},
+     "malformed rational 'x': Invalid literal for Fraction: 'x'"),
+    ({"points": ["p", "p", "r", "s"], "basepoint": "zz"}, "basepoint 'zz' is not a point"),
+])
+def test_a_bad_entry_or_basepoint_is_named_before_a_bad_name(runner, tmp_path, changes, message):
+    # the loader reads the entries and the basepoint, then the space checks its names
+    f = write(tmp_path, space_with(**changes))
+    for command in COMMANDS:
+        res = invoke(runner, argv_for(command, f))
+        assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"input error: {message}\n")
+
+
+# a zero at (0,1) beside each other fault: positivity is checked last
+ZERO_AND = {
+    "strong_triangle": ([[0, 0, 1], [0, 0, 2], [1, 2, 0]],
+                        "strong_triangle at (1, 0, 2): d(1,2) = 2 > max(d(1,0), d(0,2)) = 1"),
+    "symmetry": ([[0, 0, 1], [0, 0, 1], [2, 1, 0]], "symmetry at (0, 2): d(0,2) = 1 != 2 = d(2,0)"),
+    "positivity": ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], "positivity at (0, 1): d(0,1) = 0 for 0 != 1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ZERO_AND))
+def test_positivity_is_checked_last(runner, tmp_path, kind):
+    rows, text = ZERO_AND[kind]
+    bad = validate_ultrametric(rows)
+    assert (bad.kind, str(bad)) == (kind, text)
+    f = write(tmp_path, {"space": {"points": ["a", "b", "c"], "dist": rows}})
+    res = invoke(runner, ["validate", f])
+    assert (res.exit_code, res.stderr) == (1, "")
+    assert res.stdout == f"violation: space: not an ultra-metric: {text}\n"
 
 
 def test_a_name_listed_twice_in_a_block_is_an_input_error(runner, tmp_path):

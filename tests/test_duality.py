@@ -48,6 +48,12 @@ def test_evaluation_delta():
         evaluation_delta(5, 2)
 
 
+@pytest.mark.parametrize("x", [True, 1.0, "1"])
+def test_evaluation_delta_refuses_a_point_that_is_not_an_int(x):
+    with pytest.raises(InputError, match="^point .* outside 0..1$"):
+        evaluation_delta(x, 2)
+
+
 def test_delta_spans_dual_group():
     ground = 3
     for s in range(1 << ground):
@@ -73,6 +79,13 @@ def test_universal_extension_identity_case():
     ext = universal_extension((0b01, 0b10), klein, 2)
     for s in range(4):
         assert ext.apply(Character(s, 2)) == s
+
+
+def test_universal_extension_refuses_a_character_over_another_ground_set():
+    ext = universal_extension((1, 1), FiniteGroupTable.cyclic(2), 2)
+    for chi in (Character(0b111, 3), Character(0b1, 1)):
+        with pytest.raises(PreconditionError, match="^character over another ground set$"):
+            ext.apply(chi)
 
 
 def test_universal_extension_requires_boolean_target():
@@ -106,6 +119,15 @@ def test_kernel_words_lie_in_every_member():
             assert h.contains(w)
 
 
+def test_quotient_hom_refuses_a_word_over_other_blocks():
+    eps = Partition((frozenset({0, 1}), frozenset({2})), 3)  # two blocks
+    h = local_base_SPro(eps, FiniteGroupTable.cyclic(2))[-1]
+    assert h.image_of_block_word(FreeWord(((0, 1), (1, 1)), 2)) == 0
+    for word in (FreeWord(((2, 1),), 3), FreeWord(((0, 1),), 1)):
+        with pytest.raises(PreconditionError, match="^word is not over the blocks of the quotient$"):
+            h.image_of_block_word(word)
+
+
 def test_local_base_cap():
     eps = Partition.discrete(4)
     with pytest.raises(CapExceeded):
@@ -137,6 +159,20 @@ def test_projection_refuses_a_word_over_another_ground_set():
     for ground in (2, 5):
         with pytest.raises(PreconditionError, match="^word ground set does not match the chain$"):
             sys.project_from_base(BooleanWord(frozenset({0}), ground), 0)
+
+
+@pytest.mark.parametrize("i", [-1, 2, True, 1.0])
+def test_bond_refuses_a_level_outside_the_chain(i):
+    sys = InverseSystem(_chain())  # 3 levels: bonds into levels 0 and 1
+    with pytest.raises(InputError, match="^no bond into level .* in a chain of 3 levels$"):
+        sys.bond(i, BooleanWord(frozenset({0}), 3))
+
+
+@pytest.mark.parametrize("i", [-1, 3, True])
+def test_projection_refuses_a_level_outside_the_chain(i):
+    sys = InverseSystem(_chain())
+    with pytest.raises(InputError, match="^level .* outside 0..2$"):
+        sys.project_from_base(BooleanWord(frozenset({0}), 3), i)
 
 
 def test_inverse_system_constant_chain_identity_bonds():

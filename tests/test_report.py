@@ -80,6 +80,20 @@ def test_l_eps_row_fails_on_a_wrong_kernel(monkeypatch):
     assert row["detail"].startswith("kernel mismatch at partition")
 
 
+def test_l_eps_failure_names_the_blocks_sorted(monkeypatch):
+    real = freegroup._kernel
+
+    def planted(points, max_len, eps):  # one word short at the two-block level
+        words = real(points, max_len, eps)
+        return words[:-1] if len(eps.blocks) == 2 else words
+
+    monkeypatch.setattr(report, "_kernel", planted)
+    detail = "kernel mismatch at partition [['p', 'q'], ['r', 's']]"
+    assert run_report(load_workspace(WORKSPACE), "l_eps")["l_eps"] == {"passed": False, "detail": detail}
+    res = CliRunner().invoke(main, ["report", WORKSPACE, "--only", "l_eps"])
+    assert (res.exit_code, res.stdout) == (1, f"l_eps  FAIL  {detail}\n")
+
+
 def test_l_eps_row_fails_on_a_wrong_closure(monkeypatch):
     ws = load_workspace(WORKSPACE)
     # an oracle that closes every even-length word agrees with no quotient

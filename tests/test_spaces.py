@@ -116,6 +116,21 @@ def test_a_row_of_mixed_values_reads_every_entry():
         UltraMetricSpace(((Fraction(0), True), (True, Fraction(0))))
 
 
+@pytest.mark.parametrize("names, message", [
+    (("a", "a"), "duplicate point names"),
+    ((1, 2), "point names must be strings"),
+    ((["a"], "b"), "point names must be strings"),  # unhashable, refused before the index
+])
+def test_space_refuses_a_bad_name_table(names, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        UltraMetricSpace(((0, 1), (1, 0)), names)
+
+
+def test_index_answers_every_name():
+    sp = random_ultrametric(random.Random(64), 64)
+    assert [sp.index(name) for name in sp.names] == list(range(64))
+
+
 def test_nameless_space_gets_default_names():
     sp = UltraMetricSpace(((0, 1), (1, 0)))
     assert sp.names == ("x0", "x1")
@@ -309,8 +324,23 @@ def test_combine_separation_failure_reported():
 
 def test_combine_rejects_strong_triangle_failure():
     d = [[0, 0, 1], [0, 0, 0], [1, 0, 0]]  # d(0,2) = 1 > max(d(0,1), d(1,2)) = 0
-    with pytest.raises(InputError, match=r"strong triangle fails at \(0,1,2\)"):
+    with pytest.raises(InputError, match=r"^not an ultra-pseudometric: strong_triangle at \(0, 1, 2\)"):
         combine_pseudometrics([d])
+
+
+@pytest.mark.parametrize("member, message", [
+    ([[1, 1], [1, 0]], "not an ultra-pseudometric: diagonal at (0,): d(0,0) = 1 != 0"),
+    ([[0, 1], ["1/2", 0]], "not an ultra-pseudometric: symmetry at (0, 1): d(0,1) = 1 != 1/2 = d(1,0)"),
+    ([[0, "1/2", 1], ["1/2", 0, "1/4"], [1, "1/4", 0]],
+     "not an ultra-pseudometric: strong_triangle at (0, 1, 2): d(0,2) = 1 > max(d(0,1), d(1,2)) = 1/2"),
+    ([[0, 1], [1, 0, 1]], "matrix is not square"),
+    ([[0, -1], [-1, 0]], "negative entry at (0,1)"),
+    ([[0, 0, 2], [0, 0, 2], [2, 2, 0]], "entry (0,2) = 2 above 1"),
+])
+def test_combine_names_each_fault(member, message):
+    with pytest.raises(InputError) as info:
+        combine_pseudometrics([member])
+    assert str(info.value) == message
 
 
 def test_combine_rejects_unbounded_entries():
