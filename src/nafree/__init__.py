@@ -3,7 +3,7 @@
 Desk-scale, fully verified kernels: Graev-type ultra-norms on free Boolean
 groups, epsilon-subgroup membership for the free abelian / balanced /
 Boolean neighborhood bases, quotients onto free groups of finite partitions,
-finite Stone duality, and isometric action lifting.
+universal extensions into Boolean groups, and isometric action lifting.
 """
 
 from .abelian import AbelianWord, ab_add, ab_eps_membership, ab_negate, class_sums, lh
@@ -18,7 +18,7 @@ from .boolean import (
     lift_action,
     support,
 )
-from .duality import Character, dual_group, evaluation_delta, universal_extension
+from .duality import universal_extension
 from .errors import CapExceeded, InputError, NafreeError, PreconditionError
 from .finite_groups import FiniteGroupTable, IsometricAction, SeminormTable
 from .freegroup import FreeWord, eps_tilde_membership, fg_invert, fg_multiply, quotient_hom

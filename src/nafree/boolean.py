@@ -304,4 +304,5 @@ def lift_action(action: IsometricAction, g: int, u: BooleanWord) -> BooleanWord:
     """Pointwise image g.u = {g.x : x in u}; an automorphism of B(X)."""
     if u.ground != action.space.size:
         raise PreconditionError("word does not live over the action's space")
-    return BooleanWord(frozenset(action.apply(g, x) for x in u.points), u.ground)
+    perm = [action.apply(g, x) for x in range(u.ground)]  # checks g also when u is empty
+    return BooleanWord(frozenset(perm[x] for x in u.points), u.ground)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CapExceeded, InputError, PreconditionError
+from .errors import CapExceeded, InputError, PreconditionError, shown
 from .spaces import UltraMetricSpace, Matrix, as_tuple, rational
 
 # largest group `from_permutations` closes: its table has order^2 entries,
@@ -268,14 +268,17 @@ class IsometricAction:
                     raise InputError(f"action inconsistent with group table at ({a},{c},{x})")
 
     def apply(self, g: int, x: int) -> int:
+        """The image of point x under element g, each an `int` that is not a
+        `bool`, in range."""
+        for what, v, n in (("element", g, self.group.order), ("point", x, self.space.size)):
+            if type(v) is not int or not 0 <= v < n:
+                raise InputError(f"{what} {shown(v)} outside 0..{n - 1}")
         return self.table[g][x]
 
 
 def seminorm_from_action(action: IsometricAction, x0: int) -> SeminormTable:
     """p(g) = d(x0, g.x0) for an isometric action."""
     sp = action.space
-    if not 0 <= x0 < sp.size:
-        raise PreconditionError(f"x0 = {x0} not in the space")
     vals = tuple(sp.d(x0, action.apply(g, x0)) for g in range(action.group.order))
     return SeminormTable(action.group, vals)
 

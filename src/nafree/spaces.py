@@ -207,7 +207,7 @@ class UltraMetricSpace:
     """
 
     dist: Matrix
-    names: tuple[str, ...] = ()
+    names: tuple[str, ...] | None = None  # None: the names x0, x1, ...
     basepoint: int = 0
     scale: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
     rank: Ranks = field(init=False, repr=False, compare=False)
@@ -216,7 +216,10 @@ class UltraMetricSpace:
 
     def __post_init__(self):
         table = self.dist if isinstance(self.dist, RankedMatrix) else rank_matrix(self.dist)
-        names = as_tuple(self.names, "names") or tuple(f"x{i}" for i in range(len(table)))
+        names = (
+            tuple(f"x{i}" for i in range(len(table)))
+            if self.names is None else as_tuple(self.names, "names")
+        )
         if not all(isinstance(name, str) for name in names):
             raise InputError("point names must be strings")
         if len(set(names)) != len(names):

@@ -30,7 +30,7 @@ from nafree.boolean import (
     support,
 )
 from nafree.cli import main
-from nafree.duality import Character, evaluation_delta, universal_extension
+from nafree.duality import universal_extension
 from nafree.errors import InputError, PreconditionError
 from nafree.finite_groups import FiniteGroupTable, IsometricAction
 from nafree import freegroup
@@ -282,7 +282,7 @@ def test_acceptance_09_duality():
                 assert sorted(homs) == sorted(_hom_tables_full(group, ground))
             for f in itertools.product(range(group.order), repeat=ground):
                 ext = universal_extension(f, group, ground)
-                ext_table = tuple(ext.apply(Character(s, ground)) for s in range(size))
+                ext_table = tuple(ext.apply(s) for s in range(size))
                 matching = [
                     h for h in homs if all(h[1 << x] == f[x] for x in range(ground))
                 ]

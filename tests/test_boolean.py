@@ -1,6 +1,7 @@
 """Free Boolean group, configuration calculus and the Graev ultra-norm."""
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -306,6 +307,14 @@ def test_lift_action():
     assert moved == w({1, 2})
     assert graev_norm_fast(moved, ext).value == graev_norm_fast(u, ext).value == 2
     assert lift_action(act, 1, w(set())) == w(set())
+
+
+@pytest.mark.parametrize("g", [-1, 2, True, 1.0])
+def test_lift_action_refuses_an_element_outside_the_group(g):
+    # before, -1 and True were read as element 1, and 2 and 1.0 raised bare errors
+    for u in (w({0, 2}), w(set())):
+        with pytest.raises(InputError, match=f"^element {re.escape(repr(g))} outside 0..1$"):
+            lift_action(_swap_pq_action(), g, u)
 
 
 def test_lift_action_is_additive():

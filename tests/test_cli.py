@@ -259,6 +259,27 @@ def test_report_passes(runner):
     assert "FAIL" not in res.output
 
 
+# the pinned `report --json` bytes of the bundled workspace; the CI step
+# "CLI as a process" compares its output with the same file
+BUNDLED_REPORT = Path(__file__).resolve().parent / "data" / "bundled_report.json"
+
+
+def test_the_bundled_report_prints_its_pinned_output(runner):
+    as_json = runner.invoke(main, ["report", WORKSPACE, "--json"])
+    text = runner.invoke(main, ["report", WORKSPACE])
+    assert (as_json.exit_code, as_json.stdout_bytes) == (0, BUNDLED_REPORT.read_bytes())
+    assert (text.exit_code, text.stdout.splitlines()) == (0, [
+        "claim5   pass  16 words, all pairs",
+        "claim6   pass  6 pairs and 4 singletons",
+        "claim7   pass  15 nonzero words",
+        "l_eps    pass  9603 word/partition checks at cap 4",
+        "t_AE2    pass  2 thresholds x 16 words",
+        "fbaire   pass  |B_3| = 129 cosets checked empty",
+        "sbaire   pass  41 interior witnesses",
+        "duality  pass  16 maps X -> Z2 extended and verified",
+    ])
+
+
 def test_report_only_single_row(runner):
     res = runner.invoke(main, ["report", WORKSPACE, "--only", "claim6"])
     assert res.exit_code == 0
@@ -431,6 +452,15 @@ def test_an_empty_space_is_named_before_its_basepoint(runner, tmp_path):
         res = invoke(runner, argv_for(command, f))
         assert (res.exit_code, res.stdout) == (2, "")
         assert res.stderr == "input error: the space has no points\n"
+
+
+def test_an_empty_point_list_does_not_name_the_matrix(runner, tmp_path):
+    # before, the points were named x0, x1: validate passed and norm answered
+    f = write(tmp_path, {"space": {"points": [], "dist": [["0", "1"], ["1", "0"]]}})
+    for argv in [argv_for(command, f) for command in COMMANDS] + [["norm", f, '["x0","x1"]']]:
+        res = invoke(runner, argv)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "input error: name table does not match matrix size\n"
 
 
 def test_validate_reports_one_violation_for_a_bad_chain(runner, tmp_path):

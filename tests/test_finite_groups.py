@@ -159,6 +159,31 @@ def _swap_action():
     return IsometricAction(g, sp, ((0, 1), (1, 0)))
 
 
+def _swap_within():
+    """The bundled workspace's `swap_within`: two elements over four points."""
+    return IsometricAction(FiniteGroupTable.cyclic(2), split_space(), ((0, 1, 2, 3), (1, 0, 3, 2)))
+
+
+@pytest.mark.parametrize("g, x, message", [
+    (-1, 0, "element -1 outside 0..1"),  # before, read as the last element
+    (True, 0, "element True outside 0..1"),  # before, read as element 1
+    (2, 0, "element 2 outside 0..1"),  # before, a bare IndexError
+    (0, 4, "point 4 outside 0..3"),
+    (0, -1, "point -1 outside 0..3"),
+    (0, 1.0, "point 1.0 outside 0..3"),
+])
+def test_apply_refuses_an_element_or_point_outside_the_action(g, x, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        _swap_within().apply(g, x)
+
+
+@pytest.mark.parametrize("x0", [True, 1.0, -1, 4])
+def test_seminorm_from_action_refuses_a_point_outside_the_space(x0):
+    # before, True was read as point 1 and 1.0 raised a bare TypeError
+    with pytest.raises(InputError, match=f"^point {re.escape(repr(x0))} outside 0..3$"):
+        seminorm_from_action(_swap_within(), x0)
+
+
 def test_seminorm_from_action_swap():
     act = _swap_action()
     p = seminorm_from_action(act, 0)

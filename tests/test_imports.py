@@ -99,17 +99,6 @@ SURFACE = {
     "cli._Boundary.invoke": CLICK,
     "cli.validate": CLICK,
     "cli.report": CLICK,
-    "duality.dual_group": "a paper construct: the character group, test_duality.py::test_dual_group_sizes",
-    "duality.evaluation_delta":
-        "a paper construct: the evaluation embedding, test_duality.py::test_evaluation_delta",
-    "duality.QuotientHom.contains": "ROADMAP item 6 absorbs the quotient homomorphisms",
-    "duality.local_base_SPro":
-        "a paper construct: the finite-index local base, "
-        "test_duality.py::test_kernel_words_lie_in_every_member",
-    "duality.InverseSystem": "a paper construct: inverse systems of Boolean quotients, test_duality.py",
-    "duality.InverseSystem.thread_check":
-        "a paper construct: threads of the inverse system, "
-        "test_duality.py::test_inverse_system_bonds_and_threads",
     "finite_groups.FiniteGroupTable.boolean_power": "a paper construct: Boolean targets, acceptance 09",
     "finite_groups.SeminormTable.is_invariant": "ROADMAP item 6: seminorms on F(X) quotients",
     "finite_groups.seminorm_from_subgroup":

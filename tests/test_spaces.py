@@ -120,6 +120,7 @@ def test_a_row_of_mixed_values_reads_every_entry():
     (("a", "a"), "duplicate point names"),
     ((1, 2), "point names must be strings"),
     ((["a"], "b"), "point names must be strings"),  # unhashable, refused before the index
+    ((), "name table does not match matrix size"),  # before, read as the names x0, x1
 ])
 def test_space_refuses_a_bad_name_table(names, message):
     with pytest.raises(InputError, match=f"^{message}$"):
@@ -135,6 +136,12 @@ def test_nameless_space_gets_default_names():
     sp = UltraMetricSpace(((0, 1), (1, 0)))
     assert sp.names == ("x0", "x1")
     assert sp.index("x1") == 1
+
+
+def test_a_space_without_points_is_refused():
+    for names in ((), None):
+        with pytest.raises(InputError, match="^the space has no points$"):
+            UltraMetricSpace((), names)
 
 
 def test_extend_with_zero_small_distance():
