@@ -3,6 +3,7 @@ closedness / empty-interior lemmas behind noncompleteness."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import CapExceeded, InputError, PreconditionError, shown
 from .spaces import Partition, PartitionChain
@@ -82,6 +83,19 @@ def ab_eps_membership(w: AbelianWord, eps: Partition) -> bool:
     return all(s == 0 for s in class_sums(w, eps))
 
 
+def coset_length(w: AbelianWord, eps: Partition) -> int:
+    """The least length of a word in the coset w + <eps>, sum_B |s_B(w)|:
+    moving all of a block's mass onto one of its points keeps every class
+    sum, and no word with class sums s_B has length below sum_B |s_B|."""
+    return sum(map(abs, class_sums(w, eps)))
+
+
+def ball_size(n: int, ground: int) -> int:
+    """|B_n| = sum_k 2^k C(ground, k) C(n, k): choose k points, their signs,
+    and positive coefficients summing to at most n."""
+    return sum(2**k * comb(ground, k) * comb(n, k) for k in range(n + 1))
+
+
 def enumerate_Bn(n: int, ground: int) -> list[AbelianWord]:
     """All words of length <= n over the ground set."""
     if n > BN_CAP:
@@ -115,7 +129,7 @@ class AvoidanceReport:
 
 def bn_avoidance_check(w: AbelianWord, n: int, base: PartitionChain) -> AvoidanceReport:
     """Find a separating chain level and verify (w + <eps>) avoids B_n by
-    enumerating the whole ball."""
+    enumerating the whole ball: the oracle of `coset_length`."""
     if lh(w) <= n:
         raise PreconditionError(f"lh(w) = {lh(w)} must exceed n = {n}")
     if any(part.ground != w.ground for part in base.partitions):

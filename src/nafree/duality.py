@@ -41,6 +41,9 @@ def universal_extension(
         raise PreconditionError("target group must have exponent at most 2")
     if len(f) != ground:
         raise InputError("image list does not match the ground set")
+    for g in f:
+        if type(g) is not int or not 0 <= g < group.order:
+            raise InputError(f"image {shown(g)} outside 0..{group.order - 1}")
     size = 1 << ground
     img = [group.identity] * size
     for s in range(1, size):

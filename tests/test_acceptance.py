@@ -17,7 +17,18 @@ from click.testing import CliRunner
 
 from conftest import all_boolean_words, all_partitions, aug, discrete_dbar, make_space
 from corpus import VALUES, corpus, random_ultrametric
-from nafree.abelian import AbelianWord, ab_eps_membership, bn_avoidance_check, bn_interior_witness, enumerate_Bn, lh
+from nafree.abelian import (
+    AbelianWord,
+    ab_add,
+    ab_eps_membership,
+    ab_negate,
+    ball_size,
+    bn_avoidance_check,
+    bn_interior_witness,
+    coset_length,
+    enumerate_Bn,
+    lh,
+)
 from nafree.boolean import (
     BooleanWord,
     ball_equals_subgroup,
@@ -749,3 +760,38 @@ def test_acceptance_15_graev_check_runs_once_per_space(monkeypatch):
         with pytest.raises(PreconditionError):
             graev_delta_bruteforce(FreeWord((), 1), FreeWord((), 1), bad)
     assert calls == [5, 5, 3]
+
+
+# --- 18. the least length of a coset of <eps> ------------------------------
+
+
+def test_acceptance_18_coset_length():
+    """coset_length(w, eps) <= m exactly when the coset w + <eps> meets B_m,
+    decided by enumerating B_m; bn_avoidance_check agrees wherever it
+    applies, and the search oracle confirms membership for n <= 3."""
+    rng = random.Random(1018)
+    balls = {(m, n): enumerate_Bn(m, n) for n in range(1, 5) for m in range(4)}
+    words = {n: enumerate_Bn(6, n) for n in range(1, 5)}
+    cosets = avoidance = searched = 0
+    for space in corpus(seed=1018, count=12, max_size=4):
+        n = space.size
+        chain = ball_chain(space)
+        for _, eps in chain.levels:
+            for w in rng.sample(words[n], min(len(words[n]), 12)):
+                least = coset_length(w, eps)
+                for m in range(4):
+                    differences = [ab_add(w, ab_negate(v)) for v in balls[m, n]]
+                    met = [ab_eps_membership(u, eps) for u in differences]
+                    assert (least <= m) == any(met), (w, m)
+                    if lh(w) > m:
+                        rep = bn_avoidance_check(w, m, chain)
+                        assert rep.passed == (coset_length(w, rep.partition) > m)
+                        avoidance += 1
+                    if n <= 3 and rng.random() < 0.15:
+                        i = rng.randrange(len(differences))
+                        assert abelian_membership_search(differences[i], eps) == met[i], (differences[i], eps)
+                        searched += 1
+                cosets += 1
+    for n, m in itertools.product(range(7), range(4)):
+        assert ball_size(m, n) == len(enumerate_Bn(m, n))
+    _announce(18, f"{cosets} cosets against B_0..B_3, {avoidance} avoidance checks, {searched} searches")

@@ -20,6 +20,7 @@ from nafree.abelian import ab_eps_membership
 from nafree.boolean import DEFAULT_ENUM_CAP, eps_subgroup_membership
 from nafree.cli import main
 from nafree.finite_groups import IsometricAction
+from nafree.report import CLAIMS
 from nafree.freegroup import eps_tilde_membership
 from nafree.serialize import (
     format_rational,
@@ -274,10 +275,19 @@ def test_the_bundled_report_prints_its_pinned_output(runner):
         "claim7   pass  15 nonzero words",
         "l_eps    pass  9603 word/partition checks at cap 4",
         "t_AE2    pass  2 thresholds x 16 words",
-        "fbaire   pass  |B_3| = 129 cosets checked empty",
+        "fbaire   pass  least length 4 in the coset > 3, so it misses B_3 (129 words)",
         "sbaire   pass  41 interior witnesses",
         "duality  pass  16 maps X -> Z2 extended and verified",
     ])
+
+
+def test_the_full_report_passes_on_64_points(runner, tmp_path):
+    sp = random_ultrametric(random.Random(64), 64)
+    space = {"points": list(sp.names), "dist": [[format_rational(v) for v in row] for row in sp.dist]}
+    res = runner.invoke(main, ["report", write(tmp_path, {"space": space}), "--json"])
+    assert res.exit_code == 0
+    rows = json.loads(res.stdout)
+    assert sorted(rows) == sorted(CLAIMS) and all(row["passed"] for row in rows.values())
 
 
 def test_report_only_single_row(runner):

@@ -30,6 +30,12 @@ def test_universal_extension_refuses_a_mask_outside_the_ground_set():
             ext.apply(subset)
 
 
+@pytest.mark.parametrize("image", [True, -1, 2, 1.0])
+def test_universal_extension_refuses_an_image_outside_the_group(image):
+    with pytest.raises(InputError, match=rf"^image {image!r} outside 0..1$"):
+        universal_extension((image, 0), FiniteGroupTable.cyclic(2), 2)
+
+
 def test_universal_extension_requires_boolean_target():
     with pytest.raises(PreconditionError):
         universal_extension((0, 0), FiniteGroupTable.cyclic(4), 2)

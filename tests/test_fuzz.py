@@ -76,8 +76,7 @@ def _requests(rng, obj, path):
         level = rng.choice(["0", "1", "-1", "-2", "9"])
         out.append(["member", path, _word(rng, names, group), "-g", group, "--level", level,
                     "--json"])
-    if len(names) <= 8:  # the report rows stay cheap at this size
-        out.append(["report", path, "--only", rng.choice(CLAIMS), "--json"])
+    out.append(["report", path, "--only", rng.choice(CLAIMS), "--json"])
     return out
 
 

@@ -91,6 +91,7 @@ def test_oracles_import_no_rule_they_certify():
 PERFBENCH = "traced or called by perfbench/"
 CLICK = "called by click"
 SURFACE = {
+    "abelian.bn_avoidance_check": "traced by perfbench/, and the oracle of acceptance 18",
     "boolean.reduce_configuration": "ROADMAP item 8: moves to oracles.py with the brute-force norm",
     "boolean.enumerate_normal_configurations":
         "the reference test_boolean.py::test_bruteforce_certificate_is_the_first_minimum compares against",
