@@ -34,8 +34,11 @@ def universal_extension(
 ) -> UniversalExtension:
     """Extend f: X -> G to the character group by linearity over GF(2).
 
-    G must be Boolean (exponent <= 2); the homomorphism property is checked
-    exhaustively at this scale.
+    G must be Boolean (exponent <= 2).  As in Light's test, generators
+    suffice: from img[s ^ {x}] = img[s] f(x) for all s, x and img[0] = e,
+    induction on |t| gives, for t = t' ^ {x} with x outside t',
+    img[s ^ t] = img[s ^ t'] f(x) = img[s] img[t'] f(x) = img[s] img[t],
+    so the homomorphism property holds for every pair (s, t).
     """
     if not group.is_boolean():
         raise PreconditionError("target group must have exponent at most 2")
@@ -49,9 +52,8 @@ def universal_extension(
     for s in range(1, size):
         low = s & -s
         img[s] = group.op(img[s ^ low], f[low.bit_length() - 1])
-    for s in range(size):
-        row = group.mul[img[s]]
-        if [img[s ^ t] for t in range(size)] != [row[b] for b in img]:
+    for x, g in enumerate(f):
+        if [img[s ^ (1 << x)] for s in range(size)] != [group.mul[b][g] for b in img]:
             raise AssertionError("extension failed to be a homomorphism")
     if any(img[1 << x] != f[x] for x in range(ground)):
         raise AssertionError("extension does not restrict to f")

@@ -64,6 +64,8 @@ from nafree.oracles import (
     boolean_membership_closure,
     strong_triangle_scan,
 )
+from nafree.report import REPORT_WORD_LIMIT, run_report
+from nafree.serialize import Workspace
 from nafree.spaces import (
     MetricViolation,
     Partition,
@@ -795,3 +797,35 @@ def test_acceptance_18_coset_length():
     for n, m in itertools.product(range(7), range(4)):
         assert ball_size(m, n) == len(enumerate_Bn(m, n))
     _announce(18, f"{cosets} cosets against B_0..B_3, {avoidance} avoidance checks, {searched} searches")
+
+
+def test_acceptance_18_interior_witness_rule():
+    """bn_interior_witness finds a witness for a word of B_2 exactly when
+    some block of two or more points has a point outside its support, and
+    each witness raises lh by exactly 2; the sbaire row's count, read off
+    that rule at the indiscrete level, equals the walk for n = 2..6."""
+    rng = random.Random(1118)
+    words = {n: enumerate_Bn(2, n) for n in range(1, REPORT_WORD_LIMIT + 1)}
+
+    def witnessed(w, eps):
+        try:
+            v = bn_interior_witness(w, 2, eps)
+        except PreconditionError:
+            return False
+        assert lh(ab_add(w, v)) == lh(w) + 2, (w, v)
+        return True
+
+    checks = 0
+    for space in corpus(seed=1118, count=16, max_size=REPORT_WORD_LIMIT):
+        for _, eps in ball_chain(space).levels:
+            for w in words[space.size]:
+                usable = any(len(b) >= 2 and not b <= w.supp() for b in eps.blocks)
+                assert witnessed(w, eps) == usable, (w, eps)
+                checks += 1
+    for n in range(2, REPORT_WORD_LIMIT + 1):
+        space = random_ultrametric(rng, n)
+        walked = sum(witnessed(w, Partition.indiscrete(n)) for w in words[n])
+        ws = Workspace(space, extend_with_zero(space), {"balls": ball_chain(space)}, {})
+        row = run_report(ws, "sbaire")["sbaire"]
+        assert row == {"passed": True, "detail": f"{walked} interior witnesses"}
+    _announce(18, f"{checks} word/level witness checks, sbaire count equals the walk for n = 2..6")

@@ -1,4 +1,6 @@
 """Universal extensions into Boolean groups."""
+import itertools
+
 import pytest
 
 from nafree.duality import universal_extension
@@ -40,3 +42,52 @@ def test_universal_extension_requires_boolean_target():
     with pytest.raises(PreconditionError):
         universal_extension((0, 0), FiniteGroupTable.cyclic(4), 2)
 
+
+def _extends_everywhere(table, f, group):
+    """The exhaustive check: table[s ^ t] = table[s] table[t] for every pair
+    (s, t), table[0] = e, and table restricts to f."""
+    size = len(table)
+    return (table[0] == group.identity
+            and all(table[1 << x] == g for x, g in enumerate(f))
+            and all(table[s ^ t] == group.mul[table[s]][table[t]]
+                    for s in range(size) for t in range(size)))
+
+
+def _planted(group, g, h):
+    """`group` with `op` wrong at (g, h) alone; `mul` stays right, so an
+    extension built with `op` gets wrong entries and is checked on `mul`."""
+    right = group.op
+    planted = FiniteGroupTable(group.mul)
+    object.__setattr__(planted, "op", lambda a, b: right(a, b) ^ ((a, b) == (g, h)))
+    return planted
+
+
+def _built(f, group):
+    """The table the extension builds with `group.op`: each mask from the
+    mask without its lowest point."""
+    table = [group.identity] * (1 << len(f))
+    for s in range(1, len(table)):
+        low = s & -s
+        table[s] = group.op(table[s ^ low], f[low.bit_length() - 1])
+    return table
+
+
+def test_generator_check_accepts_exactly_where_the_exhaustive_check_does():
+    maps = rejected = 0
+    for k, ground in itertools.product(range(1, 4), range(1, 5)):
+        group = FiniteGroupTable.boolean_power(k)
+        for f in itertools.product(range(group.order), repeat=ground):
+            assert _extends_everywhere(universal_extension(f, group, ground).table, f, group)
+            maps += 1
+            if k > 2 or ground > 3:
+                continue
+            for g, h in itertools.permutations(range(group.order), 2):  # is_boolean reads op(g, g)
+                planted = _planted(group, g, h)
+                table = _built(f, planted)
+                if _extends_everywhere(table, f, group):
+                    assert universal_extension(f, planted, ground).table == tuple(table)
+                else:
+                    with pytest.raises(AssertionError):
+                        universal_extension(f, planted, ground)
+                    rejected += 1
+    assert (maps, rejected) == (5050, 268)

@@ -102,7 +102,7 @@ def _every_mutation(test):
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(n=st.integers(1, 10), mutation=st.one_of(st.just("none"), st.sampled_from(MUTATIONS)),
+@given(n=st.integers(1, 24), mutation=st.one_of(st.just("none"), st.sampled_from(MUTATIONS)),
        rng=st.randoms(use_true_random=False))
 @_every_mutation
 def test_exit_code_contract(n, mutation, rng):

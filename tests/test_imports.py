@@ -92,6 +92,7 @@ PERFBENCH = "traced or called by perfbench/"
 CLICK = "called by click"
 SURFACE = {
     "abelian.bn_avoidance_check": "traced by perfbench/, and the oracle of acceptance 18",
+    "abelian.bn_interior_witness": "oracle of acceptance 18",
     "boolean.reduce_configuration": "ROADMAP item 8: moves to oracles.py with the brute-force norm",
     "boolean.enumerate_normal_configurations":
         "the reference test_boolean.py::test_bruteforce_certificate_is_the_first_minimum compares against",
@@ -117,6 +118,8 @@ SURFACE = {
         "a paper construct: F(X) onto A(X), test_freegroup.py::test_projections_commute_with_quotient",
     "spaces.Partition.discrete":
         "a paper construct: the finest entourage, test_spaces.py::test_strict_ball_partition",
+    "spaces.Partition.indiscrete":
+        "a paper construct: the coarsest entourage, the sbaire row's level in acceptance 18",
     "spaces.ball_partition": PERFBENCH,
     "spaces.combine_pseudometrics": "a paper construct: the sup of a pseudometric family, acceptance 13",
 }

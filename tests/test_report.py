@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from conftest import discrete_dbar
 from corpus import random_ultrametric
 from nafree import freegroup, report
-from nafree.abelian import AbelianWord, enumerate_Bn
+from nafree.abelian import AbelianWord, coset_length, enumerate_Bn
 from nafree.boolean import BooleanWord, graev_norm_bruteforce
 from nafree.freegroup import FreeWord, graev_delta_bruteforce, v_psi_ball
 from nafree.oracles import abelian_membership_search
@@ -118,6 +118,18 @@ def test_claim5_fails_on_a_norm_that_breaks_the_ultra_inequality(monkeypatch):
     monkeypatch.setattr(report, "graev_norm_fast", planted)
     row = run_report(ws, "claim5")["claim5"]
     assert row == {"passed": False, "detail": "ultra inequality fails at [0], [1]"}
+
+
+def test_fbaire_row_reads_the_separating_level():
+    # w = 2x0 - 2x1 has coset length 4 where x0, x1 are apart and 0 where
+    # they share a block, so a row reading the coarsest level would fail
+    ws = load_workspace(WORKSPACE)
+    chain = ws.chains["balls"]
+    w = AbelianWord(((0, 2), (1, -2)), ws.space.size)
+    assert coset_length(w, chain.separating_level(w.supp())) == 4
+    assert coset_length(w, chain.partitions[0]) == 0
+    assert run_report(ws, "fbaire")["fbaire"] == {
+        "passed": True, "detail": "least length 4 in the coset > 3, so it misses B_3 (129 words)"}
 
 
 def test_report_runs_every_claim_in_order():
