@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import CapExceeded, InputError, PreconditionError, shown
-from .spaces import Partition, PartitionChain
+from .spaces import Partition, PartitionChain, index
 
 BN_CAP = 6  # largest length n whose ball B_n is enumerated
 
@@ -22,8 +22,7 @@ class AbelianWord:
     def __post_init__(self):
         seen = set()
         for p, c in self.coeffs:
-            if type(p) is not int or not 0 <= p < self.ground:
-                raise InputError(f"point {shown(p)} outside 0..{self.ground - 1}")
+            index(p, self.ground, "point")
             if type(c) is not int:
                 raise InputError(f"coefficient {shown(c)} is not an integer")
             if p in seen:
@@ -114,22 +113,10 @@ def enumerate_Bn(n: int, ground: int) -> list[AbelianWord]:
     return [AbelianWord(acc, ground) for acc, _ in partial]
 
 
-@dataclass(frozen=True)
-class AvoidanceReport:
-    """Exhaustive verification that a coset of <eps> misses the length ball."""
-
-    partition: Partition
-    ball_size: int
-    checked: tuple[tuple[AbelianWord, bool], ...]  # (v, member of w - v in <eps>)
-
-    @property
-    def passed(self) -> bool:
-        return all(not m for _, m in self.checked)
-
-
-def bn_avoidance_check(w: AbelianWord, n: int, base: PartitionChain) -> AvoidanceReport:
-    """Find a separating chain level and verify (w + <eps>) avoids B_n by
-    enumerating the whole ball: the oracle of `coset_length`."""
+def bn_avoidance_check(w: AbelianWord, n: int, base: PartitionChain) -> bool:
+    """Whether (w + <eps>) avoids B_n at the chain's separating level of
+    supp(w), decided by enumerating the whole ball: the oracle of
+    `coset_length`."""
     if lh(w) <= n:
         raise PreconditionError(f"lh(w) = {lh(w)} must exceed n = {n}")
     if any(part.ground != w.ground for part in base.partitions):
@@ -138,8 +125,7 @@ def bn_avoidance_check(w: AbelianWord, n: int, base: PartitionChain) -> Avoidanc
     if eps is None:
         raise PreconditionError("no chain level separates the support of w")
     ball = enumerate_Bn(n, w.ground)
-    checked = tuple((v, ab_eps_membership(ab_add(w, ab_negate(v)), eps)) for v in ball)
-    return AvoidanceReport(partition=eps, ball_size=len(ball), checked=checked)
+    return not any(ab_eps_membership(ab_add(w, ab_negate(v)), eps) for v in ball)
 
 
 def bn_interior_witness(w: AbelianWord, n: int, eps: Partition) -> AbelianWord:

@@ -11,13 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import CapExceeded, InputError, PreconditionError, shown
+from .errors import CapExceeded, InputError, PreconditionError
 from .finite_groups import IsometricAction
 from .spaces import (
     AugmentedSpace,
     Partition,
     PartitionChain,
     _ball_classes,
+    index,
     rational,
     strict_ball_partition,
 )
@@ -35,8 +36,7 @@ class BooleanWord:
     def __post_init__(self):
         object.__setattr__(self, "points", frozenset(self.points))
         for p in self.points:
-            if type(p) is not int or not 0 <= p < self.ground:
-                raise InputError(f"point {shown(p)} outside 0..{self.ground - 1}")
+            index(p, self.ground, "point")
 
     @classmethod
     def zero(cls, ground: int) -> "BooleanWord":
@@ -87,11 +87,8 @@ class Configuration:
                     acc ^= {t}
         return BooleanWord(frozenset(acc), ground)
 
-    def entries(self) -> list[int]:
-        return [t for p in self.pairs for t in p]
-
     def is_normal(self) -> bool:
-        ent = self.entries()
+        ent = [t for p in self.pairs for t in p]
         return len(ent) == len(set(ent))
 
 
@@ -163,20 +160,20 @@ def _capped_support(u: BooleanWord, cap: int) -> list[int]:
     return supp
 
 
-def _basepoint(u: BooleanWord, space: AugmentedSpace) -> int:
-    """The basepoint the norms certify; the word must be over the base points,
-    or its zero index would be a real point of the space."""
+def _check_ground(u: BooleanWord, space: AugmentedSpace) -> None:
+    """The word must be over the base points, or its zero index would be a
+    real point of the space."""
     if u.ground != space.base.size:
         raise PreconditionError("words over different spaces")
-    return space.base.basepoint
 
 
 @dataclass(frozen=True)
 class NormCertificate:
+    """A norm and a pairing that attains it; the basepoint is the space's."""
+
     value: Fraction
     witness: Configuration
     algorithm: str
-    basepoint: int
 
 
 def graev_norm_bruteforce(
@@ -189,9 +186,9 @@ def graev_norm_bruteforce(
     once its largest distance is not below the best pairing found, so the
     first minimum in that order is the witness.
     """
-    bp = _basepoint(u, space)
+    _check_ground(u, space)
     if u.is_zero():
-        return NormCertificate(Fraction(0), Configuration(()), "brute", bp)
+        return NormCertificate(Fraction(0), Configuration(()), "brute")
     supp = _capped_support(u, cap)
     # `_pairings` yields this pairing first: its d-length bounds the search
     first = Configuration(tuple(zip(supp[::2], supp[1::2])))
@@ -199,7 +196,7 @@ def graev_norm_bruteforce(
     better = _least_pairing(space.dist, tuple(supp), Fraction(0), value)
     if better is not None:
         value, pairs = better
-    return NormCertificate(value, Configuration(pairs), "brute", bp)
+    return NormCertificate(value, Configuration(pairs), "brute")
 
 
 def _least_pairing(dist, points, top, bound):
@@ -232,9 +229,9 @@ def graev_norm_fast(u: BooleanWord, space: AugmentedSpace) -> NormCertificate:
     ultra-metric are transitive).  The norm is the smallest such threshold
     among the pairwise support distances.
     """
-    bp = _basepoint(u, space)
+    _check_ground(u, space)
     if u.is_zero():
-        return NormCertificate(Fraction(0), Configuration(()), "fast", bp)
+        return NormCertificate(Fraction(0), Configuration(()), "fast")
     supp = sorted(support(u))
     thresholds = sorted({space.d(a, b) for a, b in itertools.combinations(supp, 2)})
     for r in thresholds:
@@ -243,7 +240,7 @@ def graev_norm_fast(u: BooleanWord, space: AugmentedSpace) -> NormCertificate:
             pairs = tuple(
                 (c[i], c[i + 1]) for c in classes for i in range(0, len(c), 2)
             )
-            return NormCertificate(r, Configuration(pairs), "fast", bp)
+            return NormCertificate(r, Configuration(pairs), "fast")
     raise AssertionError("even support size guarantees a feasible threshold")
 
 
@@ -276,7 +273,6 @@ def closedness_witness(u: BooleanWord, base: PartitionChain) -> Optional[Partiti
 class BallSubgroupReport:
     """Per-word comparison of the open norm ball with the parity subgroup."""
 
-    eps: Fraction
     rows: tuple[tuple[BooleanWord, bool, bool], ...]  # (word, norm < eps, member)
 
     @property
@@ -297,7 +293,7 @@ def ball_equals_subgroup(
         in_ball = graev_norm_fast(u, space).value < eps
         member = eps_subgroup_membership(u, part)
         rows.append((u, in_ball, member))
-    return BallSubgroupReport(eps=eps, rows=tuple(rows))
+    return BallSubgroupReport(rows=tuple(rows))
 
 
 def lift_action(action: IsometricAction, g: int, u: BooleanWord) -> BooleanWord:

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputError, PreconditionError, shown
+from .errors import InputError, PreconditionError
 from .finite_groups import FiniteGroupTable
+from .spaces import index
 
 
 @dataclass(frozen=True)
@@ -22,11 +23,9 @@ class UniversalExtension:
     table: tuple[int, ...]  # the image of the subset with bitmask S at index S
 
     def apply(self, subset: int) -> int:
-        """The image of the subset whose bitmask is `subset`, an `int` that
-        is not a `bool`."""
-        if type(subset) is not int or not 0 <= subset < len(self.table):
-            raise InputError(f"subset {shown(subset)} outside 0..{len(self.table) - 1}")
-        return self.table[subset]
+        """The image of the subset whose bitmask is `subset`, read by
+        `spaces.index`."""
+        return self.table[index(subset, len(self.table), "subset")]
 
 
 def universal_extension(
@@ -38,15 +37,15 @@ def universal_extension(
     suffice: from img[s ^ {x}] = img[s] f(x) for all s, x and img[0] = e,
     induction on |t| gives, for t = t' ^ {x} with x outside t',
     img[s ^ t] = img[s ^ t'] f(x) = img[s] img[t'] f(x) = img[s] img[t],
-    so the homomorphism property holds for every pair (s, t).
+    so the homomorphism property holds for every pair (s, t).  At s = 0 the
+    identity reads img[{x}] = f(x), so the extension restricts to f.
     """
     if not group.is_boolean():
         raise PreconditionError("target group must have exponent at most 2")
     if len(f) != ground:
         raise InputError("image list does not match the ground set")
     for g in f:
-        if type(g) is not int or not 0 <= g < group.order:
-            raise InputError(f"image {shown(g)} outside 0..{group.order - 1}")
+        index(g, group.order, "image")
     size = 1 << ground
     img = [group.identity] * size
     for s in range(1, size):
@@ -55,6 +54,4 @@ def universal_extension(
     for x, g in enumerate(f):
         if [img[s ^ (1 << x)] for s in range(size)] != [group.mul[b][g] for b in img]:
             raise AssertionError("extension failed to be a homomorphism")
-    if any(img[1 << x] != f[x] for x in range(ground)):
-        raise AssertionError("extension does not restrict to f")
     return UniversalExtension(tuple(img))

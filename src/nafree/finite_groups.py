@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CapExceeded, InputError, PreconditionError, shown
-from .spaces import UltraMetricSpace, Matrix, as_tuple, rational
+from .errors import CapExceeded, InputError, PreconditionError, Violation
+from .spaces import UltraMetricSpace, Matrix, as_tuple, index, rational
 
 # largest group `from_permutations` closes: its table has order^2 entries,
 # and the group axioms are checked in order^2 steps times the generators
@@ -51,9 +51,10 @@ class FiniteGroupTable:
         n = len(self.mul)
         table = tuple(tuple(row) for row in self.mul)
         object.__setattr__(self, "mul", table)
-        for row in table:
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise InputError("multiplication table is not a square over 0..n-1")
+        if any(len(row) != n for row in table):
+            raise InputError("multiplication table is not a square over 0..n-1")
+        for v in itertools.chain.from_iterable(table):
+            index(v, n, "element")
         ident = None
         for e in range(n):
             if all(table[e][g] == g and table[g][e] == g for g in range(n)):
@@ -242,6 +243,8 @@ class IsometricAction:
         n = sp.size
         if len(tbl) != g.order or any(len(row) != n for row in tbl):
             raise InputError("action table shape mismatch")
+        for x in itertools.chain.from_iterable(tbl):
+            index(x, n, "point")
         if tbl[g.identity] != tuple(range(n)):
             raise InputError("identity does not act trivially")
         # The checks run over the group's generators c only.  The elements c
@@ -257,9 +260,7 @@ class IsometricAction:
                 if tuple(map(row.__getitem__, perm)) != rank[x]:
                     # rows before x match, so by symmetry the first moved y exceeds x
                     y = next(y for y in range(n) if row[perm[y]] != rank[x][y])
-                    raise PreconditionError(
-                        f"element {a} is not an isometry: moves pair ({x},{y})"
-                    )
+                    raise Violation(f"element {a} is not an isometry: moves pair ({x},{y})")
         for c in g.generators:
             col = tbl[c]
             for a, row in enumerate(tbl):
@@ -268,12 +269,9 @@ class IsometricAction:
                     raise InputError(f"action inconsistent with group table at ({a},{c},{x})")
 
     def apply(self, g: int, x: int) -> int:
-        """The image of point x under element g, each an `int` that is not a
-        `bool`, in range."""
-        for what, v, n in (("element", g, self.group.order), ("point", x, self.space.size)):
-            if type(v) is not int or not 0 <= v < n:
-                raise InputError(f"{what} {shown(v)} outside 0..{n - 1}")
-        return self.table[g][x]
+        """The image of point x under element g, each read by `spaces.index`."""
+        row = self.table[index(g, self.group.order, "element")]
+        return row[index(x, self.space.size, "point")]
 
 
 def seminorm_from_action(action: IsometricAction, x0: int) -> SeminormTable:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from .abelian import AbelianWord
 from .errors import CapExceeded, InputError, PreconditionError, shown
 from .oracles import deletion_closure
-from .spaces import Matrix, Partition, RankedMatrix, Ranks, rank_matrix, validate_ultrametric
+from .spaces import Matrix, Partition, RankedMatrix, Ranks, index, rank_matrix, validate_ultrametric
 
 Letter = tuple[int, int]
 
@@ -32,8 +32,7 @@ class FreeWord:
         n = self.alphabet
         red: list[Letter] = []
         for p, s in self.letters:
-            if type(p) is not int or not 0 <= p < n:
-                raise InputError(f"letter {shown(p)} outside 0..{n - 1}")
+            index(p, n, "letter")
             if type(s) is not int or s not in (1, -1):
                 raise InputError(f"exponent {shown(s)} must be +-1")
             if red and red[-1] == (p, -s):
@@ -154,14 +153,15 @@ class SymmetrizedSpace:
 
     Indexing: 0..n-1 are the base letters, n..2n-1 their inverses, 2n is e.
     `scale` and `rank` are the rank encoding of `dist` (see RankedMatrix),
-    on which the Graev check and delta decide.
+    on which the Graev check and delta decide.  `grau` is that check,
+    decided when the space is built.
     """
 
     n: int
     dist: Matrix
     scale: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
     rank: Ranks = field(init=False, repr=False, compare=False)
-    _grau: Optional[GrauCheck] = field(default=None, init=False, repr=False, compare=False)
+    grau: GrauCheck = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table = rank_matrix(self.dist)
@@ -170,6 +170,7 @@ class SymmetrizedSpace:
         object.__setattr__(self, "rank", table.rank)
         if len(self.dist) != 2 * self.n + 1:
             raise InputError("matrix must cover X, the inverses and e")
+        object.__setattr__(self, "grau", _grau_conditions(self, table))
 
     @property
     def e(self) -> int:
@@ -190,41 +191,42 @@ class SymmetrizedSpace:
 
 @dataclass(frozen=True)
 class GrauCheck:
-    ok: bool
-    violation: Optional[str]
+    violation: Optional[str]  # None: the conditions hold
     strong_pattern: bool  # d(x^-1, y) = max(d(x,e), d(y,e)) throughout
+
+    @property
+    def ok(self) -> bool:
+        return self.violation is None
 
 
 def check_grau_conditions(dbar: SymmetrizedSpace) -> GrauCheck:
-    """Verify the inversion-compatibility identities plus ultra-metric
-    validity; flag the stronger max-pattern when it holds.  Decided once per
-    space and kept on it."""
-    if dbar._grau is None:
-        object.__setattr__(dbar, "_grau", _grau_conditions(dbar))
-    return dbar._grau
+    """The inversion-compatibility identities plus ultra-metric validity,
+    with the stronger max-pattern flagged when it holds: the space's `grau`."""
+    return dbar.grau
 
 
-def _grau_conditions(dbar: SymmetrizedSpace) -> GrauCheck:
-    bad = validate_ultrametric(RankedMatrix(dbar.dist, dbar.scale, dbar.rank))
+def _grau_conditions(dbar: SymmetrizedSpace, table: RankedMatrix) -> GrauCheck:
+    """The Graev check of `dbar`, whose distances and ranks are `table`."""
+    bad = validate_ultrametric(table)
     if bad is not None:
-        return GrauCheck(False, f"not an ultra-metric: {bad}", False)
+        return GrauCheck(f"not an ultra-metric: {bad}", False)
     rank, inv, e = dbar.rank, dbar.inv_index, dbar.e
     half = list(range(dbar.n)) + [e]
     for i, j in itertools.product(half, repeat=2):
         ii, ji = inv(i), inv(j)
         if rank[ii][ji] != rank[i][j]:
             return GrauCheck(
-                False, f"d(inv {i}, inv {j}) = {dbar.d(ii, ji)} != d({i},{j}) = {dbar.d(i, j)}", False
+                f"d(inv {i}, inv {j}) = {dbar.d(ii, ji)} != d({i},{j}) = {dbar.d(i, j)}", False
             )
         if rank[ii][j] != rank[i][ji]:
             return GrauCheck(
-                False, f"d(inv {i}, {j}) = {dbar.d(ii, j)} != d({i}, inv {j}) = {dbar.d(i, ji)}", False
+                f"d(inv {i}, {j}) = {dbar.d(ii, j)} != d({i}, inv {j}) = {dbar.d(i, ji)}", False
             )
     strong = all(
         rank[inv(i)][j] == max(rank[i][e], rank[j][e])
         for i, j in itertools.product(range(dbar.n), repeat=2)
     )
-    return GrauCheck(True, None, strong)
+    return GrauCheck(None, strong)
 
 
 def _trivial_sequences(alphabet: tuple[int, ...], length: int, dbar: SymmetrizedSpace):
@@ -309,9 +311,7 @@ def word_alphabet(w: FreeWord, dbar: SymmetrizedSpace, extra: Sequence[int] = ()
         s.add(p)
         s.add(p + dbar.n)
     for p in extra:
-        if type(p) is not int or not 0 <= p < dbar.n:
-            raise InputError(f"letter {shown(p)} outside 0..{dbar.n - 1}")
-        s.add(p)
+        s.add(index(p, dbar.n, "letter"))
         s.add(p + dbar.n)
     return tuple(sorted(s))
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .abelian import AbelianWord
 from .boolean import BooleanWord, NormCertificate
-from .errors import CapExceeded, InputError, PreconditionError, Violation, clip, shown
+from .errors import CapExceeded, InputError, Violation, clip, shown
 from .finite_groups import FiniteGroupTable, IsometricAction
 from .freegroup import FreeWord
 from .spaces import (
@@ -122,7 +122,7 @@ def encode_certificate(cert: NormCertificate, aug: AugmentedSpace) -> dict:
         "value": format_rational(cert.value),
         "witness": sorted([names[a], names[b]] for a, b in cert.witness.pairs),
         "algorithm": cert.algorithm,
-        "basepoint": aug.base.names[cert.basepoint],
+        "basepoint": aug.base.names[aug.base.basepoint],
     }
 
 
@@ -138,11 +138,10 @@ class Workspace:
 
 @contextmanager
 def _section(name: str):
-    """Prefix a Violation with the workspace section it came from; an
-    action's failed isometry check (a PreconditionError) becomes one too."""
+    """Prefix a Violation with the workspace section it came from."""
     try:
         yield
-    except (Violation, PreconditionError) as exc:
+    except Violation as exc:
         raise Violation(f"{name}: {exc}") from exc
 
 

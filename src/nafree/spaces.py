@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError, Violation, clip, shown
@@ -39,6 +39,15 @@ def rational(v) -> Fraction:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed rational {shown(v)}: {clip(str(exc))}") from exc
+
+
+def index(v, n: int, what: str) -> int:
+    """The one reader of indices: `v` itself if it is an int that is not a
+    bool, in 0..n-1; anything else, True and 1.0 included, is an InputError
+    naming `what`."""
+    if type(v) is not int or not 0 <= v < n:
+        raise InputError(f"{what} {shown(v)} outside 0..{n - 1}")
+    return v
 
 
 def as_tuple(v, what: str) -> tuple:
@@ -234,10 +243,7 @@ class UltraMetricSpace:
             raise InputError("the space has no points")
         if "0" in self.names:
             raise InputError('point name "0" is reserved for the adjoined zero element')
-        if type(self.basepoint) is not int:
-            raise InputError(f"basepoint {shown(self.basepoint)} is not an int")
-        if not 0 <= self.basepoint < len(self.dist):
-            raise InputError(f"basepoint {self.basepoint} out of range")
+        index(self.basepoint, len(self.dist), "basepoint")
         bad = validate_ultrametric(table)
         if bad is not None:
             raise Violation(f"not an ultra-metric: {bad}")
@@ -315,6 +321,8 @@ class Partition:
         if type(self.ground) is not int or self.ground < 0:
             raise InputError(f"ground {shown(self.ground)} is not a non-negative int")
         blocks = tuple(map(frozenset, self.blocks))
+        for p in chain.from_iterable(blocks):
+            index(p, self.ground, "point")
         if not all(blocks):
             raise Violation("empty block")
         blocks = tuple(sorted(blocks, key=min))

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from conftest import all_partitions
+import nafree.abelian
 from nafree.abelian import (
     AbelianWord,
     ab_add,
     ab_eps_membership,
     ab_negate,
+    ball_size,
     bn_avoidance_check,
     bn_interior_witness,
     class_sums,
@@ -111,13 +113,19 @@ def test_enumerate_Bn_counts():
         enumerate_Bn(9, 3)
 
 
-def test_bn_avoidance_check():
+def test_bn_avoidance_check(monkeypatch):
     chain = PartitionChain(((0, Partition.discrete(2)),))
     w = aw({0: 2, 1: 2}, 2)
-    rep = bn_avoidance_check(w, 3, chain)
-    assert rep.passed
-    assert rep.ball_size == len(enumerate_Bn(3, 2))
-    assert len(rep.checked) == rep.ball_size
+    checked = []
+
+    def counted(u, eps):
+        checked.append(u)
+        return ab_eps_membership(u, eps)
+
+    monkeypatch.setattr(nafree.abelian, "ab_eps_membership", counted)
+    assert bn_avoidance_check(w, 3, chain) is True
+    assert ball_size(3, 2) == len(enumerate_Bn(3, 2))
+    assert len(checked) == ball_size(3, 2)  # a passing verdict read every word of B_3
 
 
 def test_bn_avoidance_preconditions():

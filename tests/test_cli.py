@@ -106,6 +106,9 @@ def test_norm_cross_block_with_oracle(runner):
 NORM_TEXT = "word: ['p', 'q', 'r']\nnorm: 2  (algorithm: fast)\nwitness pairing: [['p', 'q'], ['r', '0']]\n"
 NORM_JSON = '{"algorithm":"fast","basepoint":"p",%s"value":"2","witness":[["p","q"],["r","0"]]}\n'
 SKIPPED = "|supp(u)| = 4 exceeds enumeration cap 2"
+# with the basepoint at r the zero sits at distance 1 from r, so (r, 0) costs 1
+MOVED_TEXT = "word: ['p', 'q', 'r']\nnorm: 1  (algorithm: fast)\nwitness pairing: [['p', 'q'], ['r', '0']]\n"
+MOVED_JSON = '{"algorithm":"fast","basepoint":"r",%s"value":"1","witness":[["p","q"],["r","0"]]}\n'
 
 
 @pytest.mark.parametrize(
@@ -116,6 +119,9 @@ SKIPPED = "|supp(u)| = 4 exceeds enumeration cap 2"
          NORM_JSON % '"oracle":{"agrees":true,"value":"2"},'),
         (["--check", "--cap", "2"], NORM_TEXT + f"oracle: {{'skipped': '{SKIPPED}'}}\n",
          NORM_JSON % f'"oracle":{{"skipped":"{SKIPPED}"}},'),
+        (["--basepoint", "r"], MOVED_TEXT, MOVED_JSON % ""),
+        (["--check", "--basepoint", "r"], MOVED_TEXT + "oracle: {'value': '1', 'agrees': True}\n",
+         MOVED_JSON % '"oracle":{"agrees":true,"value":"1"},'),
     ],
 )
 def test_norm_output_is_exact(runner, options, text, as_json):

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_space, split_space
 from corpus import random_ultrametric
-from nafree.errors import InputError, PreconditionError
+from nafree.errors import InputError, PreconditionError, Violation
 from nafree.finite_groups import (
     FiniteGroupTable,
     IsometricAction,
@@ -207,7 +207,7 @@ def test_trivial_action_gives_zero_seminorm():
 def test_non_isometric_action_rejected():
     sp = make_space([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
     g = FiniteGroupTable.cyclic(2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(Violation, match=r"^element 1 is not an isometry: moves pair \(0,1\)$"):
         IsometricAction(g, sp, ((0, 1, 2), (0, 2, 1)))  # d(0,1)=1 but d(0,2)=2
 
 
@@ -307,9 +307,10 @@ def test_action_checks_match_the_full_scan():
         iso, con = _action_faults(group, space, tbl)
         try:
             IsometricAction(group, space, tbl)
-        except (InputError, PreconditionError) as exc:
+        except InputError as exc:
             assert iso or con
             assert _genuine_action_fault(group, space, tbl, str(exc))
+            assert (type(exc) is Violation) == ("is not an isometry" in str(exc))
             if con is None:
                 assert str(exc) == iso
             seen["inconsistent" if con else "consistent, not an isometry"] += 1

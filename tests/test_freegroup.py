@@ -11,6 +11,7 @@ from nafree.boolean import BooleanWord
 from nafree.errors import CapExceeded, InputError, PreconditionError
 from nafree.freegroup import (
     FreeWord,
+    GrauCheck,
     SymmetrizedSpace,
     _image,
     _kernel,
@@ -219,6 +220,17 @@ def test_check_grau_conditions_violation():
     dbar = SymmetrizedSpace(n, tuple(tuple(Fraction(v) for v in r) for r in rows))
     chk = check_grau_conditions(dbar)
     assert not chk.ok and chk.violation is not None
+
+
+def test_the_graev_check_is_decided_when_the_space_is_built():
+    # the verdict is a field of the space, so a broken matrix fails to build
+    # only where it is malformed: a row of the wrong length
+    with pytest.raises(InputError, match="^matrix is not square$"):
+        SymmetrizedSpace(1, ((0, 1, 1), (1, 0), (1, 1, 0)))
+    dbar = discrete_dbar(1)
+    assert check_grau_conditions(dbar) is dbar.grau
+    assert dbar.grau == GrauCheck(None, True) and dbar.grau.ok
+    assert not GrauCheck("d(inv 0, 0) = 2 != d(0, inv 0) = 1", False).ok
 
 
 def test_delta_extends_metric_on_letters():
